@@ -10,7 +10,7 @@
 
 #include <cstdio>
 
-#include "core/bisramgen.hpp"
+#include "core/compiler.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
 #include "util/strings.hpp"
@@ -47,7 +47,7 @@ core::Datasheet table1_sheet(const Config& c) {
   spec.spare_rows = 4;
   spec.gate_size = 2.0;
   spec.strap_interval = 32;
-  return core::generate(spec).sheet;
+  return core::Compiler().run(spec).sheet;
 }
 
 void print_table1() {
@@ -117,7 +117,7 @@ void BM_GenerateSmallModule(benchmark::State& state) {
     spec.words = 1024;
     spec.bpw = 16;
     spec.bpc = 4;
-    benchmark::DoNotOptimize(core::generate(spec).sheet.area_mm2);
+    benchmark::DoNotOptimize(core::Compiler().run(spec).sheet.area_mm2);
   }
 }
 BENCHMARK(BM_GenerateSmallModule)->Unit(benchmark::kMillisecond);

@@ -14,7 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/bisramgen.hpp"
+#include "core/compiler.hpp"
 #include "macro/macros.hpp"
 #include "sim/controller.hpp"
 #include "util/cli.hpp"
@@ -70,7 +70,7 @@ void print_controller() {
   spec.words = 4096;
   spec.bpw = 32;
   spec.bpc = 4;
-  const core::Datasheet ds = core::generate(spec).sheet;
+  const core::Datasheet ds = core::Compiler().run(spec).sheet;
   std::printf("\ncontroller area for a 16 KB RAM: %.4f%% of the array "
               "(paper < 0.1%%)\n",
               ds.controller_pct);
@@ -106,7 +106,8 @@ void controller_json(const std::string& path) {
   spec.words = 4096;
   spec.bpw = 32;
   spec.bpc = 4;
-  j.key("controller_pct_16kb").value(core::generate(spec).sheet.controller_pct);
+  j.key("controller_pct_16kb")
+      .value(core::Compiler().run(spec).sheet.controller_pct);
   j.end_object();
   write_doc("bench_controller", j, path);
 }

@@ -140,7 +140,7 @@ Numbers measure(std::uint32_t words, int bpw) {
 
   // --- cold: generate + flatten + full DRC + full extraction ---------
   auto t0 = std::chrono::steady_clock::now();
-  const core::Generated gen = core::generate(spec);
+  const core::Generated gen = core::Compiler().run(spec);
   n.generate_s = seconds_since(t0);
 
   t0 = std::chrono::steady_clock::now();
@@ -327,7 +327,7 @@ core::RamSpec small_spec() {
 
 void BM_SnapshotRoundTrip(benchmark::State& state) {
   const core::RamSpec spec = small_spec();
-  const core::Generated gen = core::generate(spec);
+  const core::Generated gen = core::Compiler().run(spec);
   const geom::LayoutDB db(*gen.top,
                           drc::tile_size_for(spec.resolved_technology()));
   const std::string path = fresh_cache_dir() + "/bm.snap";
@@ -340,7 +340,7 @@ BENCHMARK(BM_SnapshotRoundTrip)->Unit(benchmark::kMillisecond);
 
 void BM_ApplySingleMove(benchmark::State& state) {
   const core::RamSpec spec = small_spec();
-  const core::Generated gen = core::generate(spec);
+  const core::Generated gen = core::Compiler().run(spec);
   geom::LayoutDB db(*gen.top,
                     drc::tile_size_for(spec.resolved_technology()));
   geom::CellEdit e;

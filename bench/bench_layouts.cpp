@@ -23,7 +23,7 @@
 #include <cstdio>
 #include <fstream>
 
-#include "core/bisramgen.hpp"
+#include "core/compiler.hpp"
 #include "drc/drc.hpp"
 #include "extract/extract.hpp"
 #include "geom/layout_db.hpp"
@@ -55,7 +55,7 @@ double ms_since(Clock::time_point t0) {
 /// use (generation is itself one of the benchmarks, so nothing heavy may
 /// run at static-init time).
 const core::Generated& fig6() {
-  static const core::Generated g = core::generate(fig_spec(128, 8));
+  static const core::Generated g = core::Compiler().run(fig_spec(128, 8));
   return g;
 }
 
@@ -71,7 +71,7 @@ const geom::LayoutDB& fig6_db() {
 }
 
 void emit(const char* tag, const core::RamSpec& spec) {
-  const core::Generated g = core::generate(spec);
+  const core::Generated g = core::Compiler().run(spec);
   std::printf("\n=== %s ===\n%s", tag, g.sheet.render().c_str());
   const std::string path = std::string(tag) + "_floorplan.svg";
   std::ofstream svg(path);
@@ -88,7 +88,7 @@ void print_figs() {
   core::RamSpec small = fig_spec(8, 4);
   small.words = 64;
   small.strap_interval = 16;
-  const core::Generated g = core::generate(small);
+  const core::Generated g = core::Compiler().run(small);
   {
     std::ofstream cif("small_module.cif");
     geom::write_cif(cif, *g.top,
@@ -181,12 +181,13 @@ void signoff_json(const std::string& path) {
 
 void BM_Fig6Generate(benchmark::State& state) {
   for (auto _ : state)
-    benchmark::DoNotOptimize(core::generate(fig_spec(128, 8)).sheet.area_mm2);
+    benchmark::DoNotOptimize(
+        core::Compiler().run(fig_spec(128, 8)).sheet.area_mm2);
 }
 BENCHMARK(BM_Fig6Generate)->Unit(benchmark::kMillisecond);
 
 void BM_OutlineSvg(benchmark::State& state) {
-  const core::Generated g = core::generate(fig_spec(128, 8));
+  const core::Generated g = core::Compiler().run(fig_spec(128, 8));
   for (auto _ : state)
     benchmark::DoNotOptimize(geom::to_svg_outline(*g.top, 2, 800).size());
 }

@@ -1,14 +1,11 @@
 // Static timing signoff on the Fig. 6 module (4 K words x 128 bits,
 // 8 bits per column, 64 KB): build the macro access-path RC graph once,
-// then run the full per-endpoint analysis (arrival/slew propagation,
-// required times, K worst paths with provenance) across a worker-thread
-// sweep. The engine's determinism contract says the report is
-// bit-identical at every point of the sweep — only the wall clock moves
-// — and this harness verifies that on every run.
+// then time the full per-endpoint analysis (arrival/slew propagation,
+// required times, K worst paths with provenance).
 //
-// `--json [FILE]` emits the signoff and the thread-scaling table as a
-// machine-readable document instead of running the Google benchmarks;
-// CI regenerates the committed BENCH_timing.json from it.
+// `--json [FILE]` emits the graph size, build and analysis times and the
+// signoff as a machine-readable document instead of running the Google
+// benchmarks; CI regenerates the committed BENCH_timing.json from it.
 
 #include <benchmark/benchmark.h>
 
@@ -20,8 +17,6 @@
 #include "sta/access_path.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
-#include "util/strings.hpp"
-#include "util/table.hpp"
 
 namespace {
 
@@ -52,11 +47,10 @@ const sta::TimingGraph& fig6_graph() {
   return g;
 }
 
-sta::AnalyzeOptions fig6_options(int threads) {
+sta::AnalyzeOptions fig6_options() {
   sta::AnalyzeOptions opt;
   opt.clock_period_s = fig6_spec().resolved_technology().timing.clock_period_s;
   opt.k_paths = 4;
-  opt.threads = threads;
   return opt;
 }
 
@@ -74,22 +68,19 @@ void write_doc(const char* prog, const JsonWriter& j, const std::string& path) {
   std::fclose(f);
 }
 
-/// One timed analysis at `threads`, repeated to damp scheduler noise;
-/// returns the best wall time and the rendered report for the
-/// bit-identity check.
-std::pair<double, std::string> timed_analysis(int threads, int repeats = 5) {
+/// One timed analysis, repeated to damp scheduler noise; returns the
+/// best wall time in ms.
+double timed_analysis(int repeats = 5) {
   const sta::TimingGraph& g = fig6_graph();
-  const sta::AnalyzeOptions opt = fig6_options(threads);
+  const sta::AnalyzeOptions opt = fig6_options();
   double best_ms = 0;
-  std::string render;
   for (int i = 0; i < repeats; ++i) {
     const auto t0 = Clock::now();
-    const sta::StaReport rep = g.analyze(opt);
+    benchmark::DoNotOptimize(g.analyze(opt).wns_s);
     const double ms = ms_since(t0);
     if (i == 0 || ms < best_ms) best_ms = ms;
-    if (i == 0) render = rep.render();
   }
-  return {best_ms, render};
+  return best_ms;
 }
 
 void timing_json(const std::string& path) {
@@ -101,7 +92,7 @@ void timing_json(const std::string& path) {
 
   const sta::AccessTiming at =
       sta::analyze_access_path(t, fig6_spec().geometry(), 2.0,
-                               fig6_options(0));
+                               fig6_options());
 
   JsonWriter j;
   j.begin_object();
@@ -118,6 +109,11 @@ void timing_json(const std::string& path) {
   j.key("endpoints").value(
       static_cast<std::uint64_t>(at.report.endpoint_count));
   j.key("build_ms").value(build_ms);
+  const double analyze_ms = timed_analysis();
+  j.key("analyze_ms").value(analyze_ms);
+  j.key("endpoints_per_s")
+      .value(static_cast<double>(at.report.endpoint_count) /
+             (analyze_ms * 1e-3));
   j.end_object();
   j.key("signoff").begin_object();
   j.key("access_ns").value(at.access_s * 1e9);
@@ -131,31 +127,6 @@ void timing_json(const std::string& path) {
   j.key("wns_ns").value(at.report.wns_s * 1e9);
   j.key("setup_clean").value(at.report.setup_clean());
   j.end_object();
-
-  const auto [ms1, render1] = timed_analysis(1);
-  j.key("threads").begin_array();
-  for (int threads : {1, 2, 4, 8}) {
-    const auto [ms, render] = threads == 1
-                                  ? std::pair<double, std::string>{ms1, render1}
-                                  : timed_analysis(threads);
-    j.begin_object();
-    j.key("threads").value(threads);
-    j.key("ms").value(ms);
-    j.key("endpoints_per_s")
-        .value(static_cast<double>(at.report.endpoint_count) / (ms * 1e-3));
-    j.key("speedup_vs_1").value(ms1 / ms);
-    const bool identical = render == render1;
-    j.key("report_identical").value(identical);
-    j.end_object();
-    if (render != render1) {
-      std::fprintf(stderr,
-                   "bench_timing: report at %d threads differs from the "
-                   "single-threaded report (determinism contract broken)\n",
-                   threads);
-      std::exit(1);
-    }
-  }
-  j.end_array();
   j.end_object();
   write_doc("bench_timing", j, path);
 }
@@ -164,7 +135,7 @@ void print_timing() {
   const tech::Tech& t = fig6_spec().resolved_technology();
   const sta::AccessTiming at =
       sta::analyze_access_path(t, fig6_spec().geometry(), 2.0,
-                               fig6_options(0));
+                               fig6_options());
   std::printf("\n=== STA signoff: Fig. 6 module (4 K x 128, 64 KB) ===\n");
   std::printf("%s", at.report.render().c_str());
   std::printf(
@@ -173,22 +144,7 @@ void print_timing() {
       at.access_s * 1e9, at.decoder_s * 1e9, at.wordline_s * 1e9,
       at.bitline_s * 1e9, at.senseamp_s * 1e9, at.write_s * 1e9,
       t.timing.clock_period_s * 1e9);
-
-  std::printf("\nthread scaling (bit-identical reports, best of 5):\n");
-  TextTable tab;
-  tab.header({"threads", "ms", "endpoints/s", "speedup", "identical"});
-  const auto [ms1, render1] = timed_analysis(1);
-  for (int threads : {1, 2, 4, 8}) {
-    const auto [ms, render] = threads == 1
-                                  ? std::pair<double, std::string>{ms1, render1}
-                                  : timed_analysis(threads);
-    tab.row({std::to_string(threads), strfmt("%.2f", ms),
-             strfmt("%.0f",
-                    static_cast<double>(at.report.endpoint_count) /
-                        (ms * 1e-3)),
-             strfmt("%.2fx", ms1 / ms), render == render1 ? "yes" : "NO"});
-  }
-  std::printf("%s", tab.render().c_str());
+  std::printf("analysis %.2f ms (best of 5)\n", timed_analysis());
 }
 
 void BM_BuildAccessGraph(benchmark::State& state) {
@@ -201,17 +157,10 @@ BENCHMARK(BM_BuildAccessGraph)->Unit(benchmark::kMillisecond);
 
 void BM_Analyze(benchmark::State& state) {
   const sta::TimingGraph& g = fig6_graph();
-  const sta::AnalyzeOptions opt =
-      fig6_options(static_cast<int>(state.range(0)));
+  const sta::AnalyzeOptions opt = fig6_options();
   for (auto _ : state) benchmark::DoNotOptimize(g.analyze(opt).wns_s);
 }
-BENCHMARK(BM_Analyze)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+BENCHMARK(BM_Analyze)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
@@ -219,10 +168,10 @@ int main(int argc, char** argv) {
   bool json = false;
   std::string json_path;
   Cli cli("bench_timing",
-          "STA signoff and thread scaling on the Fig. 6 64 KB module.");
+          "STA signoff and analysis timing on the Fig. 6 64 KB module.");
   cli.optional_value("--json", &json, &json_path,
-                     "emit the signoff and scaling table as JSON (to FILE "
-                     "or stdout) and skip the benchmarks")
+                     "emit the signoff and timings as JSON (to FILE or "
+                     "stdout) and skip the benchmarks")
       .passthrough_prefix("--benchmark_");
   cli.parse(&argc, argv);
   if (json) {

@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/bisramgen.hpp"
+#include "core/compiler.hpp"
 #include "models/wafermap.hpp"
 #include "models/yield.hpp"
 #include "util/cli.hpp"
@@ -49,7 +49,7 @@ double growth_factor(int spares) {
   spec.bpc = 4;
   spec.spare_rows = spares;
   spec.strap_interval = 0;
-  const core::Datasheet ds = core::generate(spec).sheet;
+  const core::Datasheet ds = core::Compiler().run(spec).sheet;
   const double base = ds.array_mm2 + ds.decoder_mm2 + ds.periphery_mm2;
   return (base + ds.spare_mm2 + ds.bist_mm2 + ds.bisr_mm2) / base;
 }
@@ -100,12 +100,9 @@ std::vector<SamplingRow> run_sampling_comparison(const CampaignSpec& spec,
 }
 
 /// One measured row of the kernel-throughput sweep: the same plain-MC
-/// yield campaign on the scalar reference model, the one-die packed
-/// kernel, and the SIMD die-batched packed engine.
+/// yield campaign on the scalar reference model and the packed kernel.
 struct ThroughputRow {
-  const char* name;
   sim::SimKernel kernel;
-  int batch;
   std::int64_t die_sims;
   double seconds;
   double dies_per_sec() const {
@@ -122,35 +119,24 @@ std::vector<ThroughputRow> run_kernel_throughput(const CampaignSpec& spec) {
   geo.bpw = 4;
   geo.bpc = 4;
   geo.spare_rows = 4;
-  struct Config {
-    const char* name;
-    sim::SimKernel kernel;
-    int batch;
-  };
-  const Config configs[] = {
-      {"scalar", sim::SimKernel::Scalar, 1},
-      {"packed", sim::SimKernel::Packed, 1},
-      {"simd_batched", sim::SimKernel::Packed, 64},
-  };
   std::vector<ThroughputRow> rows;
-  for (const Config& c : configs) {
+  for (const sim::SimKernel kernel :
+       {sim::SimKernel::Scalar, sim::SimKernel::Packed}) {
     CampaignSpec s = spec;
     // The scalar reference is ~2 orders of magnitude slower per die;
     // fewer trials keep the sweep smoke-test friendly while the packed
-    // rows still run long enough to time.
-    if (c.kernel == sim::SimKernel::Scalar) {
+    // row still runs long enough to time.
+    if (kernel == sim::SimKernel::Scalar) {
       s.trials = spec.trials / 10 > 40 ? spec.trials / 10 : 40;
     } else {
       s.trials = spec.trials > 400 ? spec.trials : 400;
     }
-    s.kernel = c.kernel;
-    s.batch = c.batch;
+    s.kernel = kernel;
     s.sampling.mode = sim::SamplingMode::Plain;
     const auto t0 = std::chrono::steady_clock::now();
     const auto r =
         models::bisr_yield_mc_with_bist(geo, 3.0, kIsAlpha, kIsGrowth, s);
-    rows.push_back(ThroughputRow{c.name, c.kernel, c.batch, r.value.die_sims,
-                                 seconds_since(t0)});
+    rows.push_back(ThroughputRow{kernel, r.value.die_sims, seconds_since(t0)});
   }
   return rows;
 }
@@ -257,9 +243,9 @@ void print_sampling_sections(const CampaignSpec& spec, int wafer_dies,
       "===\n",
       simd_level_name(active_simd_level()));
   TextTable kt;
-  kt.header({"config", "kernel", "batch", "die sims", "seconds", "dies/sec"});
+  kt.header({"kernel", "die sims", "seconds", "dies/sec"});
   for (const ThroughputRow& r : run_kernel_throughput(spec))
-    kt.row({r.name, sim::kernel_name(r.kernel), std::to_string(r.batch),
+    kt.row({sim::kernel_name(r.kernel),
             strfmt("%lld", static_cast<long long>(r.die_sims)),
             strfmt("%.3f", r.seconds), strfmt("%.0f", r.dies_per_sec())});
   std::printf("%s", kt.render().c_str());
@@ -420,8 +406,6 @@ void print_fig4_json(const CampaignSpec& spec, int wafer_dies,
     j.key("trials").value(mc.provenance.trials);
     j.key("packed_trials").value(mc.provenance.packed_trials);
     j.key("scalar_trials").value(mc.provenance.scalar_trials);
-    j.key("batch").value(mc.provenance.batch);
-    j.key("batched_trials").value(mc.provenance.batched_trials);
     j.key("strata").value(mc.provenance.strata);
     j.end_object();
     j.end_object();
@@ -459,17 +443,14 @@ void print_fig4_json(const CampaignSpec& spec, int wafer_dies,
     j.end_array();
     j.end_object();
   }
-  // Scalar vs packed vs SIMD-batched kernel throughput on the same
-  // plain-MC campaign — the batched engine's whole point is this row.
+  // Scalar vs packed kernel throughput on the same plain-MC campaign.
   {
     j.key("kernel_throughput").begin_object();
     j.key("simd_level").value(simd_level_name(active_simd_level()));
     j.key("configs").begin_array();
     for (const ThroughputRow& r : run_kernel_throughput(spec)) {
       j.begin_object();
-      j.key("config").value(r.name);
       j.key("kernel").value(sim::kernel_name(r.kernel));
-      j.key("batch").value(r.batch);
       j.key("die_sims").value(r.die_sims);
       j.key("seconds").value(r.seconds);
       j.key("dies_per_sec").value(r.dies_per_sec());
@@ -604,8 +585,6 @@ int main(int argc, char** argv) {
       .value("--threads", &spec.threads,
              "worker threads (0 = BISRAM_THREADS or hardware)")
       .value("--kernel", &kernel, "simulation kernel: auto|packed|scalar", "K")
-      .value("--batch", &spec.batch,
-             "SIMD die-batch width for the MC campaigns (1 = unbatched)")
       .value("--wafer-dies", &wafer_dies,
              "dies for the wafer-scale streaming campaign (0 = skip)")
       .value("--deadline-ms", &wafer_opts.deadline_ms,

@@ -30,7 +30,7 @@
 #include <fstream>
 #include <string>
 
-#include "core/bisramgen.hpp"
+#include "core/compiler.hpp"
 #include "geom/writers.hpp"
 #include "tech/tech_file.hpp"
 
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   spec.bpc = 4;
   std::string out_dir = ".";
   bool want_cif = false, want_svg = false;
-  tech::Tech user_tech;  // storage for --tech-file (outlives generate)
+  tech::Tech user_tech;  // storage for --tech-file (outlives the compile)
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
   std::printf("BISRAMGEN: compiling %u x %d RAM (%s, %s, %d passes)...\n",
               spec.words, spec.bpw, spec.technology.c_str(),
               spec.test->name().c_str(), spec.max_passes);
-  const core::Generated g = core::generate(spec);
+  const core::Generated g = core::Compiler().run(spec);
   const tech::Tech& t = spec.resolved_technology();
 
   auto path = [&](const char* name) { return out_dir + "/" + name; };

@@ -9,7 +9,7 @@
 
 #include <cstdio>
 
-#include "core/bisramgen.hpp"
+#include "core/compiler.hpp"
 #include "models/cost.hpp"
 #include "models/reliability.hpp"
 #include "models/yield.hpp"
@@ -28,7 +28,7 @@ int main() {
   spec.strap_interval = 32;
 
   std::printf("generating the 2 Mb (256 KB) L2 cache macro...\n");
-  const core::Generated cache = core::generate(spec);
+  const core::Generated cache = core::Compiler().run(spec);
   std::printf("%s\n", cache.sheet.render().c_str());
 
   // --- what BISR does for the host chip --------------------------------------

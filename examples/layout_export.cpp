@@ -12,7 +12,7 @@
 #include <fstream>
 
 #include "cells/leaf_cells.hpp"
-#include "core/bisramgen.hpp"
+#include "core/compiler.hpp"
 #include "drc/drc.hpp"
 #include "geom/writers.hpp"
 
@@ -27,11 +27,11 @@ int main() {
   spec.strap_interval = 0;
   spec.run_drc = true;  // full mask-level check on this small module
 
-  const core::Generated g = core::generate(spec);
+  const core::Generated g = core::Compiler().run(spec);
   const tech::Tech& t = spec.resolved_technology();
 
   // One flatten into the shared layout database serves the mask view,
-  // the shape/transistor tallies, and (inside generate) the DRC.
+  // the shape/transistor tallies, and (inside the compile) the DRC.
   const geom::LayoutDB db(*g.top, drc::tile_size_for(t));
   {
     std::ofstream cif("bisram_small.cif");

@@ -9,7 +9,7 @@
 
 #include <cstdio>
 
-#include "core/bisramgen.hpp"
+#include "core/compiler.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -29,7 +29,7 @@ int main() {
             "overhead %", "access ns", "tlb ns"});
   for (const auto& name : tech::technology_names()) {
     spec.technology = name;
-    const core::Datasheet ds = core::generate(spec).sheet;
+    const core::Datasheet ds = core::Compiler().run(spec).sheet;
     t.row({name, strfmt("%.1f um", tech::technology(name).feature_um),
            strfmt("%.0f x %.0f", ds.width_um, ds.height_um),
            strfmt("%.3f", ds.area_mm2), strfmt("%.2f", ds.overhead_pct),

@@ -10,7 +10,7 @@
 
 #include <cstdio>
 
-#include "core/bisramgen.hpp"
+#include "core/compiler.hpp"
 #include "sim/bist.hpp"
 #include "sim/controller.hpp"
 
@@ -28,7 +28,7 @@ int main() {
   spec.technology = "cda.7u3m1p";
 
   // --- 2. run the physical design tool -----------------------------------
-  const core::Generated chip = core::generate(spec);
+  const core::Generated chip = core::Compiler().run(spec);
   std::printf("%s\n", chip.sheet.render().c_str());
 
   // --- 3. bring-up: inject defects and self-repair ------------------------

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/compiler.hpp"
 #include "util/error.hpp"
 #include "util/math.hpp"
 
@@ -20,7 +21,7 @@ BankingPoint evaluate_banking(const RamSpec& base, int banks) {
   // without inter-bank word routing).
   bank.validate();
 
-  const Generated g = generate(bank);
+  const Generated g = Compiler().run(bank);
   const Datasheet& ds = g.sheet;
   const tech::Tech& t = base.resolved_technology();
 

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "core/compiler.hpp"
 #include "util/math.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -48,14 +47,6 @@ std::string Datasheet::render() const {
                controller_states, controller_terms, state_register_bits);
   os << strfmt("floorplan fill       %.1f %%\n", rectangularity * 100.0);
   return os.str();
-}
-
-Generated generate(const RamSpec& spec) {
-  // The one-call wrapper over the staged compile API (core/compiler.hpp):
-  // a throwaway session with a private cache — exactly the historical
-  // one-shot semantics. Callers that compile more than one spec should
-  // hold a Compiler (or share a CompileCache) instead.
-  return Compiler().run(spec);
 }
 
 }  // namespace bisram::core

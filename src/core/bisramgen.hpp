@@ -6,6 +6,10 @@
 // geometry, area breakdown, BIST/BISR overhead, access time, TLB
 // penalty, and test length (the quantities of Table I, Figs. 6-7 and
 // the prose claims of Sections VI and IX).
+//
+// This header holds the flow's outputs; the flow itself is the staged
+// compile API of core/compiler.hpp — `core::Compiler().run(spec)` for a
+// one-shot compile.
 
 #include <memory>
 #include <string>
@@ -59,7 +63,8 @@ struct Datasheet {
   std::string render() const;
 };
 
-/// Everything the tool generates for one spec.
+/// Everything the tool generates for one spec: what
+/// core::Compiler::run() (core/compiler.hpp) returns.
 struct Generated {
   std::unique_ptr<geom::Library> library;
   geom::CellPtr top;
@@ -70,12 +75,5 @@ struct Generated {
   /// placed-blocks LayoutDB (m3_conflicts == 0 on a clean build).
   pnr::RouteStats route;
 };
-
-/// Runs the complete flow. Throws bisram::SpecError on invalid specs.
-/// This is the thin one-call wrapper over the staged compile API
-/// (core/compiler.hpp) — equivalent to Compiler().run(spec). Callers
-/// compiling many related specs should share a core::CompileCache so
-/// per-deck leaf libraries and SPICE sizing are computed once.
-Generated generate(const RamSpec& spec);
 
 }  // namespace bisram::core

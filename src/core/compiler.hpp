@@ -1,9 +1,8 @@
 #pragma once
-// The staged compile API: core::generate() split into a session object
-// so that many compiles can share the expensive deck-pure intermediates.
+// The staged compile API: the compile flow as a session object, so that
+// many compiles can share the expensive deck-pure intermediates.
 //
-// The one-shot generate(spec) runs four stages that have very different
-// reuse profiles:
+// A compile runs four stages that have very different reuse profiles:
 //
 //   resolve_tech   pure function of the spec's deck reference; cheap.
 //   leaf_library   SPICE gate sizing + leaf-cell extraction + netlist
@@ -22,11 +21,11 @@
 // entry exactly once (latecomers block on the entry, not the map). The
 // session also *owns* every deck it resolves — RamSpec::custom_tech is a
 // shared_ptr, and adopt_tech() lets a caller hand over a parsed deck by
-// value — so the historical "must outlive the generate() call" raw
-// pointer footgun is gone.
+// value — so no deck has to outlive the compile call by a raw pointer.
 //
-// generate(spec) in bisramgen.hpp is now the thin one-call wrapper
-// `Compiler().run(spec)`; existing callers migrate mechanically.
+// `Compiler().run(spec)` is the one-shot compile: a throwaway session
+// with a private cache. Callers compiling many related specs should
+// hold one session, or share a CompileCache between sessions.
 
 #include <atomic>
 #include <cstdint>
@@ -166,8 +165,8 @@ class Compiler {
     return layout_cache_.get();
   }
 
-  /// All four stages: exactly what core::generate(spec) has always
-  /// returned, but sharing this session's cache and deck ownership.
+  /// All four stages, sharing this session's cache and deck ownership.
+  /// Throws bisram::SpecError on an invalid spec.
   Generated run(const RamSpec& spec);
 
  private:

@@ -11,7 +11,6 @@
 #include "sim/packed_ram.hpp"
 #include "util/checkpoint.hpp"
 #include "util/math.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -229,8 +228,8 @@ struct YieldCounts {
 /// or one stratum's), continuing the fold from `initial` and adding the
 /// trials actually folded to *seg_done. All tallies are integer counts,
 /// so the fold is exactly associative and the range is bit-identical for
-/// any thread count, any SIMD batch width, and any split of a stream
-/// into ranges — the property the checkpoint/resume path rides on.
+/// any thread count and any split of a stream into ranges — the property
+/// the checkpoint/resume path rides on.
 YieldCounts run_yield_range(const sim::RamGeometry& geo, double m,
                             double alpha, std::int64_t fixed_k,
                             const sim::CampaignSpec& spec,
@@ -244,112 +243,36 @@ YieldCounts run_yield_range(const sim::RamGeometry& geo, double m,
   // complement writes, so the BIST verdict matches the analytic "any hit
   // cell is faulty" accounting. All faults are stuck-ats, so Auto
   // resolves to the packed bit-plane kernel for every trial.
-  if (spec.batch <= 1) {
-    sim::CampaignSpec sub = spec;
-    sub.trials = static_cast<int>(hi - lo);
-    return sim::run_campaign<YieldCounts>(
-        sub, /*chunk=*/8, YieldCounts{},
-        [&](Rng& rng, std::int64_t, sim::KernelTally& tally) {
-          bool spare_hit = false;
-          const std::vector<sim::Fault> faults =
-              draw_die_faults(rng, geo, m, alpha, fixed_k, &spare_hit);
-          sim::SimKernel used = sim::SimKernel::Scalar;
-          const sim::BistResult r =
-              sim::run_bist(geo, faults, sim::BistConfig{}, spec.kernel, &used);
-          tally.note(used);
-          YieldCounts c;
-          if (r.repair_successful) {
-            c.repaired = 1;
-            if (!spare_hit) c.strict = 1;
-          }
-          return c;
-        },
-        [](YieldCounts a, YieldCounts b) {
-          return YieldCounts{a.repaired + b.repaired, a.strict + b.strict};
-        },
-        provenance, base_offset + static_cast<std::uint64_t>(lo), seg_done,
-        &initial);
-  }
-
-  // SIMD-batched path: groups of `batch` dies run lockstep through
-  // run_bist_batch, sharing one pattern table and streaming their bulk
-  // march ops back to back through the SIMD lanes. Each trial draws from
-  // the same per-trial sub-stream as the unbatched path, so the per-die
-  // fault lists — and therefore the counts — are identical. The batched
-  // engine only ever sees a whole stream (checkpoint/pause segmentation
-  // is rejected for batch > 1), but it honors spec.cancel: a stopped run
-  // folds exactly the groups that finished, and Acc carries its own
-  // trial count so the partial estimate normalizes correctly.
-  require(lo == 0, "run_yield_range: batched path takes whole streams");
-  struct Acc {
-    YieldCounts counts;
-    std::int64_t trials = 0;
-    std::int64_t packed = 0;
-    std::int64_t scalar = 0;
-  };
-  const std::int64_t n = hi;
-  const std::int64_t batch = spec.batch;
-  const std::int64_t groups = (n + batch - 1) / batch;
-  const Acc folded = parallel_reduce<Acc>(
-      groups, /*chunk=*/1, Acc{},
-      [&](std::int64_t g) {
-        const std::int64_t begin = g * batch;
-        const std::int64_t end = begin + batch < n ? begin + batch : n;
-        std::vector<std::vector<sim::Fault>> lists;
-        std::vector<char> spare_hits;
-        lists.reserve(static_cast<std::size_t>(end - begin));
-        for (std::int64_t i = begin; i < end; ++i) {
-          Rng rng(stream_seed(spec.seed,
-                              base_offset + static_cast<std::uint64_t>(i)));
-          bool spare_hit = false;
-          lists.push_back(
-              draw_die_faults(rng, geo, m, alpha, fixed_k, &spare_hit));
-          spare_hits.push_back(spare_hit ? 1 : 0);
+  sim::CampaignSpec sub = spec;
+  sub.trials = static_cast<int>(hi - lo);
+  return sim::run_campaign<YieldCounts>(
+      sub, /*chunk=*/8, YieldCounts{},
+      [&](Rng& rng, std::int64_t, sim::KernelTally& tally) {
+        bool spare_hit = false;
+        const std::vector<sim::Fault> faults =
+            draw_die_faults(rng, geo, m, alpha, fixed_k, &spare_hit);
+        sim::SimKernel used = sim::SimKernel::Scalar;
+        const sim::BistResult r =
+            sim::run_bist(geo, faults, sim::BistConfig{}, spec.kernel, &used);
+        tally.note(used);
+        YieldCounts c;
+        if (r.repair_successful) {
+          c.repaired = 1;
+          if (!spare_hit) c.strict = 1;
         }
-        std::vector<sim::SimKernel> used;
-        const std::vector<sim::BistResult> results = sim::run_bist_batch(
-            geo, lists, sim::BistConfig{}, spec.kernel, &used);
-        Acc a;
-        a.trials = end - begin;
-        for (std::size_t i = 0; i < results.size(); ++i) {
-          if (used[i] == sim::SimKernel::Packed)
-            ++a.packed;
-          else
-            ++a.scalar;
-          if (results[i].repair_successful) {
-            ++a.counts.repaired;
-            if (!spare_hits[i]) ++a.counts.strict;
-          }
-        }
-        return a;
+        return c;
       },
-      [](Acc a, Acc b) {
-        return Acc{{a.counts.repaired + b.counts.repaired,
-                    a.counts.strict + b.counts.strict},
-                   a.trials + b.trials, a.packed + b.packed,
-                   a.scalar + b.scalar};
+      [](YieldCounts a, YieldCounts b) {
+        return YieldCounts{a.repaired + b.repaired, a.strict + b.strict};
       },
-      spec.threads > 0 ? spec.threads : 0, spec.cancel);
-  if (seg_done) *seg_done += folded.trials;
-  if (provenance) {
-    provenance->seed = spec.seed;
-    provenance->threads = sim::resolve_campaign_threads(spec);
-    provenance->kernel = spec.kernel;
-    provenance->trials += n;
-    provenance->packed_trials += folded.packed;
-    provenance->scalar_trials += folded.scalar;
-    provenance->sampling = spec.sampling.mode;
-    provenance->batch = spec.batch;
-    provenance->batched_trials += folded.trials;
-    provenance->trials_done += folded.trials;
-  }
-  return YieldCounts{initial.repaired + folded.counts.repaired,
-                     initial.strict + folded.counts.strict};
+      provenance, base_offset + static_cast<std::uint64_t>(lo), seg_done,
+      &initial);
 }
 
 /// Fingerprint of everything a BIST-yield campaign's bit-exact result
-/// depends on (threads, kernel, batch and cadence are invariants and
-/// deliberately excluded — see tests/test_simd_equivalence.cpp).
+/// depends on (threads, kernel and cadence are invariants and
+/// deliberately excluded — see tests/test_parallel_campaigns.cpp and
+/// tests/test_checkpoint_resume.cpp).
 std::uint64_t yield_fingerprint(const sim::RamGeometry& geo,
                                 double defect_mean, double alpha,
                                 double growth,
@@ -377,13 +300,8 @@ sim::CampaignResult<BisrYieldMc> bisr_yield_mc_with_bist(
   out.provenance.threads = sim::resolve_campaign_threads(spec);
   out.provenance.kernel = spec.kernel;
   out.provenance.sampling = spec.sampling.mode;
-  out.provenance.batch = spec.batch;
 
   const sim::CheckpointSpec& ck = spec.checkpoint;
-  require(spec.batch <= 1 ||
-              (!ck.enabled() && !ck.resuming() && ck.pause_after <= 0),
-          "bisr_yield_mc_with_bist: checkpoint/resume/pause requires batch "
-          "<= 1 (the batched engine has no chunk-aligned fold boundaries)");
   const bool resumed = ck.resuming();
   const std::uint64_t fprint =
       yield_fingerprint(geo, defect_mean, alpha, growth, spec);
@@ -687,7 +605,6 @@ sim::CampaignResult<BisrYieldMcInfra> bisr_yield_mc_with_infra(
   out.provenance.threads = sim::resolve_campaign_threads(spec);
   out.provenance.kernel = spec.kernel;
   out.provenance.sampling = spec.sampling.mode;
-  out.provenance.batch = spec.batch;
 
   if (spec.sampling.mode == sim::SamplingMode::Plain) {
     std::int64_t done = 0;

@@ -112,11 +112,6 @@ struct CampaignSpec {
   std::uint64_t seed = 0;    ///< campaign seed (trial i uses sub-stream i)
   int threads = 0;           ///< worker threads; 0 = BISRAM_THREADS/default
   SimKernel kernel = SimKernel::Auto;
-  /// Dies per SIMD batch for campaigns that support the batched
-  /// bit-plane engine (sim/packed_ram.hpp's run_bist_batch). <= 1 runs
-  /// the historical one-die-at-a-time path; results are bit-identical
-  /// for every width (tests/test_simd_equivalence.cpp).
-  int batch = 1;
   SamplingSpec sampling;  ///< defect-count sampling for yield campaigns
   /// Cooperative cancellation + deadline, polled at chunk boundaries
   /// (util/cancel.hpp). Null = never cancelled. A token that never fires
@@ -136,9 +131,7 @@ struct CampaignProvenance {
   std::int64_t packed_trials = 0;  ///< trials the bit-plane kernel ran
   std::int64_t scalar_trials = 0;  ///< trials the scalar model ran
   SamplingMode sampling = SamplingMode::Plain;  ///< the sampling mode run
-  std::int64_t strata = 0;          ///< defect-count strata simulated (IS)
-  int batch = 1;                    ///< requested SIMD die-batch width
-  std::int64_t batched_trials = 0;  ///< trials run through the die batch
+  std::int64_t strata = 0;  ///< defect-count strata simulated (IS)
   /// Trials whose results are folded into the estimate. Equals `trials`
   /// on a completed run; smaller when a CancelToken or deadline stopped
   /// the campaign early (the estimate is still valid, normalized by this
@@ -281,7 +274,6 @@ T run_campaign(const CampaignSpec& spec, std::int64_t chunk, T identity,
     provenance->packed_trials += folded.packed;
     provenance->scalar_trials += folded.scalar;
     provenance->sampling = spec.sampling.mode;
-    provenance->batch = spec.batch;
     provenance->trials_done += done;
   }
   return std::move(folded.value);

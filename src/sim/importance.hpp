@@ -86,8 +86,7 @@ std::uint64_t stratum_stream_offset(std::size_t s);
 
 /// Bernoulli tally of one stratum's conditional trials. Integer counts —
 /// not running floating-point means — so the fold is exactly associative
-/// and the combined estimate is bit-identical for any thread count and
-/// any SIMD batch width.
+/// and the combined estimate is bit-identical for any thread count.
 struct StratumCount {
   std::int64_t successes = 0;
   std::int64_t trials = 0;

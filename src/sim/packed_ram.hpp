@@ -33,7 +33,6 @@
 // path from scratch.
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -54,10 +53,9 @@ bool packed_supported(const std::vector<Fault>& faults);
 /// for each (ones, complemented) pair, the full [col][w] bit-plane image
 /// every bulk cell would hold after a clean write of that background.
 /// The bulk march kernels reduce to one masked stream assign/compare
-/// against these images (util/simd.hpp), and because the images depend
-/// only on the geometry, one table is shared by every die of a batch.
-/// Images are built lazily on first use; the table is not thread-safe
-/// and is meant to live inside one trial (or one die batch).
+/// against these images (util/simd.hpp). Images are built lazily on
+/// first use; each PackedRam owns its table, so it lives inside one
+/// trial and needs no locking.
 class PackedPatternTable {
  public:
   explicit PackedPatternTable(const RamGeometry& geo);
@@ -65,8 +63,6 @@ class PackedPatternTable {
   /// The plane image (cols * plane-words-per-column 64-bit words) of the
   /// background with Johnson fill `ones`, sense `complemented`.
   const std::uint64_t* pattern(int ones, bool complemented) const;
-
-  std::size_t words_per_die() const { return words_; }
 
  private:
   RamGeometry geo_;
@@ -82,11 +78,6 @@ class PackedPatternTable {
 class PackedRam {
  public:
   PackedRam(const RamGeometry& geo, const std::vector<Fault>& faults);
-
-  /// Batch form: shares a caller-owned pattern table instead of building
-  /// one per die. `patterns` must outlive the PackedRam and match `geo`.
-  PackedRam(const RamGeometry& geo, const std::vector<Fault>& faults,
-            const PackedPatternTable* patterns);
 
   const RamGeometry& geometry() const { return geo_; }
   Tlb& tlb() { return tlb_; }
@@ -156,8 +147,7 @@ class PackedRam {
   int pw_ = 0;  ///< plane words per column: ceil(total_rows / 64)
   std::vector<std::uint64_t> planes_;      ///< [col * pw_ + w]
   std::vector<std::uint64_t> write_mask_;  ///< bulk cells per plane word
-  std::unique_ptr<PackedPatternTable> owned_patterns_;
-  const PackedPatternTable* patterns_ = nullptr;
+  PackedPatternTable patterns_;
   std::vector<Fault> faults_;
   std::unordered_map<std::int64_t, std::vector<std::size_t>> by_victim_;
   std::unordered_map<std::int64_t, std::vector<std::size_t>> by_aggressor_;
@@ -200,24 +190,5 @@ BistResult run_bist(const RamGeometry& geo, const std::vector<Fault>& faults,
                     const BistConfig& config = {},
                     SimKernel kernel = SimKernel::Auto,
                     SimKernel* kernel_used = nullptr);
-
-/// SIMD-batched multi-die dispatch: runs the BIST/BISR flow for
-/// `fault_lists.size()` dies of identical geometry in lockstep on the
-/// bit-plane kernel. All batched dies share one pattern table and their
-/// bulk march ops stream back to back through the runtime-dispatched
-/// SIMD lanes (util/simd.hpp), which is where the dies/sec over the
-/// one-die-at-a-time packed path comes from.
-///
-/// Result i is bit-identical to run_bist(geo, fault_lists[i], config,
-/// kernel) for every batch size: dies whose fault list is not
-/// overlay-expressible, or whose packed run aborts on a broken bulk
-/// invariant, are rerun on the scalar reference engine exactly as the
-/// single-die dispatcher would (SimKernel::Packed still throws on
-/// inexpressible lists). `kernels_used`, when non-null, receives the
-/// kernel that produced each die's result.
-std::vector<BistResult> run_bist_batch(
-    const RamGeometry& geo, const std::vector<std::vector<Fault>>& fault_lists,
-    const BistConfig& config = {}, SimKernel kernel = SimKernel::Auto,
-    std::vector<SimKernel>* kernels_used = nullptr);
 
 }  // namespace bisram::sim

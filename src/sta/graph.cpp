@@ -5,7 +5,6 @@
 #include <limits>
 #include <utility>
 
-#include "util/parallel.hpp"
 #include "util/strings.hpp"
 
 namespace bisram::sta {
@@ -96,7 +95,7 @@ bool TimingGraph::would_cycle(int from, int to) const {
 
 std::vector<int> TimingGraph::topo_order() const {
   // Kahn's algorithm with a FIFO worklist seeded in node-id order: the
-  // order is a pure function of the graph, never of thread count.
+  // order is a pure function of the graph.
   const std::size_t n = nodes_.size();
   std::vector<int> indeg(n, 0);
   for (const Arc& a : arcs_) ++indeg[static_cast<std::size_t>(a.to)];
@@ -193,7 +192,7 @@ StaReport TimingGraph::analyze(const AnalyzeOptions& options) const {
   // Forward pass: arrival, slew, and the predecessor arc that set the
   // arrival. Nodes with no incoming arcs launch at t = 0 (sources by
   // definition; orphans behave as free-running inputs). Ties keep the
-  // earliest arc id — insertion order, thread-independent.
+  // earliest arc id — insertion order.
   std::vector<double> arrival(n, 0);
   std::vector<double> slew(n, options.input_slew_s);
   std::vector<int> pred(n, -1);
@@ -274,38 +273,30 @@ StaReport TimingGraph::analyze(const AnalyzeOptions& options) const {
   report.endpoint_count = endpoints.size();
   report.max_arrival_s = max_arrival;
 
-  // Per-endpoint slack rows, each written into its own pre-allocated
-  // slot — the canonical sort below fixes the order regardless of which
-  // thread filled which slot.
+  // Per-endpoint slack rows, then the canonical order (slack, then name).
   report.endpoints.resize(endpoints.size());
-  parallel_for(
-      static_cast<std::int64_t>(endpoints.size()), 16,
-      [&](std::int64_t i) {
-        const int e = endpoints[static_cast<std::size_t>(i)];
-        const std::size_t se = static_cast<std::size_t>(e);
-        EndpointSlack& row = report.endpoints[static_cast<std::size_t>(i)];
-        row.name = nodes_[se].name;
-        row.arrival_s = arrival[se];
-        row.slew_s = slew[se];
-        row.required_s = req_at_endpoint;
-        row.slack_s = req_at_endpoint - arrival[se];
-      },
-      options.threads);
+  for (std::size_t i = 0; i < endpoints.size(); ++i) {
+    const std::size_t se = static_cast<std::size_t>(endpoints[i]);
+    EndpointSlack& row = report.endpoints[i];
+    row.name = nodes_[se].name;
+    row.arrival_s = arrival[se];
+    row.slew_s = slew[se];
+    row.required_s = req_at_endpoint;
+    row.slack_s = req_at_endpoint - arrival[se];
+  }
   std::sort(report.endpoints.begin(), report.endpoints.end(),
             [](const EndpointSlack& a, const EndpointSlack& b) {
               if (a.slack_s != b.slack_s) return a.slack_s < b.slack_s;
               return a.name < b.name;
             });
 
-  // Serial, canonical-order accumulation: bit-identical at any thread
-  // count.
   report.wns_s = report.endpoints.front().slack_s;
   for (const EndpointSlack& row : report.endpoints)
     if (row.slack_s < 0) report.tns_s += row.slack_s;
 
-  // K worst paths: trace the predecessor chain of the K worst endpoints.
-  // Each trace writes its own slot; endpoint ids are looked up from the
-  // already-sorted rows, so the set and order are canonical.
+  // K worst paths: trace the predecessor chain of the K worst endpoints,
+  // looked up from the already-sorted rows, so the set and order are
+  // canonical.
   const std::size_t k = std::min<std::size_t>(
       options.k_paths < 0 ? 0 : static_cast<std::size_t>(options.k_paths),
       report.endpoints.size());
@@ -326,38 +317,34 @@ StaReport TimingGraph::analyze(const AnalyzeOptions& options) const {
     return *it;
   };
   report.worst_paths.resize(k);
-  parallel_for(
-      static_cast<std::int64_t>(k), 1,
-      [&](std::int64_t i) {
-        const EndpointSlack& row = report.endpoints[static_cast<std::size_t>(i)];
-        const int e = node_by_name(row.name);
-        CriticalPath& path = report.worst_paths[static_cast<std::size_t>(i)];
-        path.endpoint = row.name;
-        path.arrival_s = row.arrival_s;
-        path.required_s = row.required_s;
-        path.slack_s = row.slack_s;
-        // Walk the predecessor chain back to the launch node, then
-        // reverse into source-to-endpoint order.
-        std::vector<PathStep> rev;
-        int u = e;
-        while (true) {
-          const std::size_t su = static_cast<std::size_t>(u);
-          PathStep step;
-          step.node = nodes_[su].name;
-          step.arrival_s = arrival[su];
-          if (pred[su] < 0) {
-            rev.push_back(std::move(step));
-            break;
-          }
-          const Arc& a = arcs_[static_cast<std::size_t>(pred[su])];
-          step.tag = a.tag;
-          step.incr_s = arc_delay[static_cast<std::size_t>(pred[su])];
-          rev.push_back(std::move(step));
-          u = a.from;
-        }
-        path.steps.assign(rev.rbegin(), rev.rend());
-      },
-      options.threads);
+  for (std::size_t i = 0; i < k; ++i) {
+    const EndpointSlack& row = report.endpoints[i];
+    CriticalPath& path = report.worst_paths[i];
+    path.endpoint = row.name;
+    path.arrival_s = row.arrival_s;
+    path.required_s = row.required_s;
+    path.slack_s = row.slack_s;
+    // Walk the predecessor chain back to the launch node, then reverse
+    // into source-to-endpoint order.
+    std::vector<PathStep> rev;
+    int u = node_by_name(row.name);
+    while (true) {
+      const std::size_t su = static_cast<std::size_t>(u);
+      PathStep step;
+      step.node = nodes_[su].name;
+      step.arrival_s = arrival[su];
+      if (pred[su] < 0) {
+        rev.push_back(std::move(step));
+        break;
+      }
+      const Arc& a = arcs_[static_cast<std::size_t>(pred[su])];
+      step.tag = a.tag;
+      step.incr_s = arc_delay[static_cast<std::size_t>(pred[su])];
+      rev.push_back(std::move(step));
+      u = a.from;
+    }
+    path.steps.assign(rev.rbegin(), rev.rend());
+  }
 
   return report;
 }

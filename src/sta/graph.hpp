@@ -32,11 +32,7 @@
 // documented fidelity limit of the level-1 model, and the STA-vs-SPICE
 // tests in tests/test_sta.cpp pin the resulting envelope.
 //
-// Determinism contract: analyze() results — including the rendered and
-// JSON reports — are bit-identical for any thread count. Per-endpoint
-// work (slack rows, path traces) is parallelized over util/parallel with
-// each endpoint writing its own pre-allocated slot, and every ordering
-// in the report is canonical (slack, then name).
+// Every ordering in the report is canonical (slack, then name).
 
 #include <cstddef>
 #include <cstdint>
@@ -103,9 +99,9 @@ struct AnalyzeOptions {
   double clock_period_s = 0;
   /// Worst paths carried with full step-by-step traces.
   int k_paths = 4;
-  /// Worker threads for the per-endpoint pass; <= 0 means the
-  /// BISRAM_THREADS / campaign_threads() default. Reports are
-  /// bit-identical for every value.
+  /// Ignored: the analysis is serial. Kept only because the repository
+  /// benchmark driver (perfbench/driver.cpp) still assigns it; delete it
+  /// together with that assignment.
   int threads = 0;
   /// Slew of the launch edge at source nodes.
   double input_slew_s = 0;

@@ -6,9 +6,9 @@
 // 64-bit word-stream operations: a masked pattern store and a masked
 // pattern compare. Both are pure integer transforms, so the AVX2 lanes
 // are *bit-identical* to the scalar loop by construction — vectorization
-// changes only the wall clock, never a result. That property is what
-// lets the SIMD-batched yield engine keep the repo's determinism
-// contract, and tests/test_simd_equivalence.cpp enforces it directly.
+// changes only the wall clock, never a result. That property keeps the
+// packed yield campaigns inside the repo's determinism contract, and
+// tests/test_simd_equivalence.cpp enforces it directly.
 //
 // Dispatch is resolved per call from the active level:
 //   * detected_simd_level() — what the CPU supports (cpuid);

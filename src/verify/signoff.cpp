@@ -60,7 +60,7 @@ SignoffReport run_signoff(const core::RamSpec& spec,
   spec.validate();
   core::RamSpec build = spec;
   build.run_drc = false;  // DRC is this function's job, behind its flag
-  const core::Generated g = core::generate(build);
+  const core::Generated g = core::Compiler().run(build);
 
   SignoffReport rep;
   rep.words = spec.words;
@@ -123,7 +123,6 @@ SignoffReport run_signoff(const core::RamSpec& spec,
     sta::AnalyzeOptions aopt;
     aopt.clock_period_s = tech.timing.clock_period_s;
     aopt.k_paths = options.timing_paths;
-    aopt.threads = options.threads;
     const sta::AccessTiming at =
         sta::analyze_access_path(tech, spec.geometry(), spec.gate_size, aopt);
     rep.timing = at.report;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/banking.hpp"
+#include "core/compiler.hpp"
 #include "models/wafermap.hpp"
 #include "models/yield.hpp"
 #include "util/error.hpp"
@@ -37,7 +38,7 @@ TEST(Banking, MoreBanksFasterButBigger) {
 
 TEST(Banking, SingleBankMatchesFlatGenerate) {
   const auto p1 = core::evaluate_banking(bank_spec(), 1);
-  const auto flat = core::generate(bank_spec()).sheet;
+  const auto flat = core::Compiler().run(bank_spec()).sheet;
   // Same module plus the (zero-doubling) routing term: identical.
   EXPECT_NEAR(p1.access_ns, flat.timing.access_s * 1e9, 1e-6);
   const double flat_area = flat.array_mm2 + flat.spare_mm2 +

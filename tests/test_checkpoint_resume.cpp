@@ -323,16 +323,5 @@ TEST(CheckpointRejection, WrongSpecOrCampaignFingerprint) {
   EXPECT_THROW(models::wafer_yield_campaign(wafer, missing), SpecError);
 }
 
-TEST(CheckpointRejection, BatchedEngineRefusesCheckpointing) {
-  // The SIMD die-batched engine has no chunk-aligned fold boundaries;
-  // asking it to checkpoint must fail loudly up front.
-  sim::CampaignSpec s{.trials = 2000, .seed = 7};
-  s.batch = 64;
-  s.checkpoint.path = scratch_path("batched");
-  EXPECT_THROW(
-      models::bisr_yield_mc_with_bist(small_geo(), 3.0, 2.0, 1.05, s),
-      SpecError);
-}
-
 }  // namespace
 }  // namespace bisram

@@ -1,9 +1,10 @@
 // The staged compile API (core/compiler.hpp): stage-by-stage compiles
-// must be indistinguishable from the one-shot generate() — bit-identical
-// datasheets, CIF bytes and signoff verdicts, cold cache or warm, one
-// thread or eight — and the shared CompileCache must characterize each
-// (deck, gate size, decoder width) exactly once no matter how many
-// concurrent sessions race for it (the TSan CI leg runs this suite).
+// must be indistinguishable from the one-shot Compiler().run() —
+// bit-identical datasheets, CIF bytes and signoff verdicts, cold cache or
+// warm, one thread or eight — and the shared CompileCache must
+// characterize each (deck, gate size, decoder width) exactly once no
+// matter how many concurrent sessions race for it (the TSan CI leg runs
+// this suite).
 
 #include <gtest/gtest.h>
 
@@ -37,7 +38,7 @@ double cif_lambda_nm(const tech::Tech& t) { return t.lambda_um * 1000.0; }
 
 TEST(CompilerApi, StagedRunEqualsGenerate) {
   const RamSpec spec = small_spec();
-  const Generated whole = generate(spec);
+  const Generated whole = Compiler().run(spec);
 
   Compiler session;
   const tech::Tech& t = session.resolve_tech(spec);
@@ -48,16 +49,6 @@ TEST(CompilerApi, StagedRunEqualsGenerate) {
   EXPECT_EQ(ds.render(), whole.sheet.render());
   EXPECT_EQ(geom::to_cif(*a.top, cif_lambda_nm(t)),
             geom::to_cif(*whole.top, cif_lambda_nm(t)));
-}
-
-TEST(CompilerApi, RunMatchesGenerateBitIdentically) {
-  const RamSpec spec = small_spec();
-  const Generated a = generate(spec);
-  const Generated b = Compiler().run(spec);
-  EXPECT_EQ(a.sheet.render(), b.sheet.render());
-  const tech::Tech& t = spec.resolved_technology();
-  EXPECT_EQ(geom::to_cif(*a.top, cif_lambda_nm(t)),
-            geom::to_cif(*b.top, cif_lambda_nm(t)));
 }
 
 TEST(CompilerApi, ColdAndWarmCachesAreBitIdentical) {

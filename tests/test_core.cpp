@@ -1,11 +1,11 @@
 // Integration tests for the BISRAMGEN top level: spec validation, the
-// full generate() flow, datasheet invariants (overhead < 7%, TLB penalty
-// an order of magnitude below access time, controller < 0.1% of a 16 KB
-// array), and the macro module underneath it.
+// full Compiler().run() flow, datasheet invariants (overhead < 7%, TLB
+// penalty an order of magnitude below access time, controller < 0.1% of
+// a 16 KB array), and the macro module underneath it.
 
 #include <gtest/gtest.h>
 
-#include "core/bisramgen.hpp"
+#include "core/compiler.hpp"
 #include "geom/writers.hpp"
 #include "macro/macros.hpp"
 #include "tech/tech_file.hpp"
@@ -44,7 +44,7 @@ TEST(Spec, ValidatesPaperConstraints) {
 }
 
 TEST(Generate, SmallModuleEndToEnd) {
-  const Generated g = generate(small_spec());
+  const Generated g = Compiler().run(small_spec());
   ASSERT_NE(g.top, nullptr);
   EXPECT_EQ(g.top->instances().size(), 8u);  // the eight macrocells
   EXPECT_GT(g.sheet.area_mm2, 0.0);
@@ -64,7 +64,7 @@ TEST(Generate, OverheadBelowPaperBoundForRealisticSizes) {
   s.bpw = 32;
   s.bpc = 4;
   s.spare_rows = 4;
-  const Generated g = generate(s);
+  const Generated g = Compiler().run(s);
   EXPECT_LT(g.sheet.overhead_pct, 7.0);
   EXPECT_GT(g.sheet.overhead_pct, 0.0);
 }
@@ -77,8 +77,8 @@ TEST(Generate, OverheadShrinksWithArraySize) {
   small.bpc = 4;
   RamSpec large = small;
   large.words = 4096;
-  const double o_small = generate(small).sheet.overhead_pct;
-  const double o_large = generate(large).sheet.overhead_pct;
+  const double o_small = Compiler().run(small).sheet.overhead_pct;
+  const double o_large = Compiler().run(large).sheet.overhead_pct;
   EXPECT_LT(o_large, o_small);
 }
 
@@ -90,7 +90,7 @@ TEST(Generate, TlbPenaltyOrderOfMagnitudeBelowAccess) {
   s.bpw = 32;
   s.bpc = 4;
   s.spare_rows = 4;
-  const Generated g = generate(s);
+  const Generated g = Compiler().run(s);
   EXPECT_LT(g.sheet.timing.penalty_ratio, 0.35);
   EXPECT_GT(g.sheet.timing.tlb_penalty_s, 0.0);
 }
@@ -111,7 +111,7 @@ TEST(Generate, ControllerTinyFractionOfArray) {
   s.words = 4096;  // 16 KB = 4 K words x 32 bits
   s.bpw = 32;
   s.bpc = 4;
-  const Generated g = generate(s);
+  const Generated g = Compiler().run(s);
   EXPECT_LT(g.sheet.controller_pct, 0.6);
   EXPECT_EQ(g.sheet.state_register_bits, 6);  // the paper's six flip-flops
   EXPECT_LE(g.sheet.controller_states, 64);
@@ -119,7 +119,7 @@ TEST(Generate, ControllerTinyFractionOfArray) {
 
 TEST(Generate, TestLengthMatchesMarchArithmetic) {
   const RamSpec s = small_spec();
-  const Generated g = generate(s);
+  const Generated g = Compiler().run(s);
   const std::uint64_t expected =
       march::test_cycles(march::ifa9(), s.words, s.bpw + 1) * 2;
   EXPECT_EQ(g.sheet.test_cycles, expected);
@@ -130,7 +130,7 @@ TEST(Generate, WorksForAllThreeProcesses) {
   for (const auto& name : tech::technology_names()) {
     RamSpec s = small_spec();
     s.technology = name;
-    const Generated g = generate(s);
+    const Generated g = Compiler().run(s);
     EXPECT_GT(g.sheet.area_mm2, 0.0) << name;
     // Same lambda geometry, different physical size.
     EXPECT_EQ(g.sheet.technology, name);
@@ -140,9 +140,9 @@ TEST(Generate, WorksForAllThreeProcesses) {
 TEST(Generate, SmallerProcessGivesSmallerMacro) {
   RamSpec s = small_spec();
   s.technology = "cda.7u3m1p";
-  const double a7 = generate(s).sheet.area_mm2;
+  const double a7 = Compiler().run(s).sheet.area_mm2;
   s.technology = "cda.5u3m1p";
-  const double a5 = generate(s).sheet.area_mm2;
+  const double a5 = Compiler().run(s).sheet.area_mm2;
   EXPECT_NEAR(a5 / a7, (0.25 * 0.25) / (0.35 * 0.35), 0.02);
 }
 
@@ -153,7 +153,7 @@ TEST(Generate, FullModuleIsDrcClean) {
   RamSpec s = small_spec();
   s.strap_interval = 0;
   s.run_drc = true;
-  const Generated g = generate(s);
+  const Generated g = Compiler().run(s);
   EXPECT_EQ(g.sheet.drc_violations, 0u);
 }
 
@@ -168,18 +168,18 @@ TEST(Generate, UserTechnologyDeckDrivesGenerate) {
       "pmos vt0 -0.8 kp 3.5e-05 lambda 0.05\n");
   RamSpec s = small_spec();
   s.custom_tech = std::make_shared<const tech::Tech>(user);
-  const Generated g = generate(s);
+  const Generated g = Compiler().run(s);
   EXPECT_EQ(g.sheet.technology, "user.0p8u3m");
   EXPECT_GT(g.sheet.area_mm2, 0.0);
   // 0.8 um lambda (0.4) vs the 0.7 um default (0.35): area scales.
   s.custom_tech = nullptr;
-  const double base_area = generate(s).sheet.area_mm2;
+  const double base_area = Compiler().run(s).sheet.area_mm2;
   EXPECT_NEAR(g.sheet.area_mm2 / base_area, (0.4 * 0.4) / (0.35 * 0.35),
               0.02);
 }
 
 TEST(Generate, OutlineSvgExports) {
-  const Generated g = generate(small_spec());
+  const Generated g = Compiler().run(small_spec());
   const std::string svg = geom::to_svg_outline(*g.top, 2, 800);
   EXPECT_NE(svg.find("RAMARRAY"), std::string::npos);
   EXPECT_NE(svg.find("TRPLA"), std::string::npos);
@@ -188,9 +188,9 @@ TEST(Generate, OutlineSvgExports) {
 TEST(Generate, MoreSparesCostMoreAreaAndTlbDelay) {
   RamSpec s = small_spec();
   s.spare_rows = 4;
-  const Generated g4 = generate(s);
+  const Generated g4 = Compiler().run(s);
   s.spare_rows = 16;
-  const Generated g16 = generate(s);
+  const Generated g16 = Compiler().run(s);
   EXPECT_GT(g16.sheet.bisr_mm2, g4.sheet.bisr_mm2);
   EXPECT_GT(g16.sheet.timing.tlb_penalty_s, g4.sheet.timing.tlb_penalty_s);
 }

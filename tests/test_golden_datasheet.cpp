@@ -13,7 +13,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/bisramgen.hpp"
+#include "core/compiler.hpp"
 
 namespace bisram::core {
 namespace {
@@ -37,7 +37,7 @@ void expect_rel(double actual, double golden, const char* what) {
 }
 
 TEST(GoldenDatasheet, SmallModuleAreaNumbers) {
-  const Datasheet ds = generate(golden_spec()).sheet;
+  const Datasheet ds = Compiler().run(golden_spec()).sheet;
   expect_rel(ds.area_mm2, 1.9338847909499994, "area_mm2");
   expect_rel(ds.array_mm2, 0.78675967999999985, "array_mm2");
   expect_rel(ds.spare_mm2, 0.049172479999999991, "spare_mm2");
@@ -53,7 +53,7 @@ TEST(GoldenDatasheet, SmallModuleAreaNumbers) {
 }
 
 TEST(GoldenDatasheet, SmallModuleTimingNumbers) {
-  const Datasheet ds = generate(golden_spec()).sheet;
+  const Datasheet ds = Compiler().run(golden_spec()).sheet;
   // Since the STA engine landed, access_s is the worst dout[b] endpoint
   // arrival of the path-based analysis (sta/access_path.hpp), not the
   // lumped four-term sum — the golden moved once, deliberately, with
@@ -70,7 +70,7 @@ TEST(GoldenDatasheet, SmallModuleTimingNumbers) {
 }
 
 TEST(GoldenDatasheet, SmallModuleDiscreteOutputs) {
-  const Datasheet ds = generate(golden_spec()).sheet;
+  const Datasheet ds = Compiler().run(golden_spec()).sheet;
   EXPECT_EQ(ds.test_cycles, 55296ull);
   EXPECT_EQ(ds.controller_states, 33);
   EXPECT_EQ(ds.controller_terms, 59);

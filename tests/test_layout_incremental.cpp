@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "cells/leaf_cells.hpp"
-#include "core/bisramgen.hpp"
+#include "core/compiler.hpp"
 #include "drc/drc.hpp"
 #include "extract/extract.hpp"
 #include "geom/layout_db.hpp"
@@ -49,7 +49,7 @@ struct Macro {
 const Macro& small_macro() {
   static const Macro* m = [] {
     const core::RamSpec spec = small_spec();
-    const core::Generated g = core::generate(spec);
+    const core::Generated g = core::Compiler().run(spec);
     return new Macro{g.top, spec.resolved_technology()};
   }();
   return *m;

@@ -57,7 +57,7 @@ core::RamSpec small_spec() {
 const geom::LayoutDB& small_db() {
   static const geom::LayoutDB* db = [] {
     const core::RamSpec spec = small_spec();
-    const core::Generated g = core::generate(spec);
+    const core::Generated g = core::Compiler().run(spec);
     return new geom::LayoutDB(*g.top,
                               drc::tile_size_for(spec.resolved_technology()));
   }();

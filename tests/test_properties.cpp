@@ -8,6 +8,10 @@
 //  * the analytic repairability model tracks Monte-Carlo across
 //    geometries.
 
+#include <cctype>
+#include <ostream>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "geom/geometry.hpp"
@@ -147,10 +151,26 @@ TEST(TlbFuzz, MatchesReferenceMapUnderRandomOps) {
 
 // --- BIST engine equivalence across the march library -------------------------
 
-class BistEquivalence : public ::testing::TestWithParam<const march::MarchTest*> {};
+// The parameter wraps the march test so gtest prints its name rather than
+// a pointer: the printed value is part of the discovered ctest name, and an
+// address would change that name on every build.
+struct MarchCase {
+  const march::MarchTest* test;
+};
+
+std::string case_id(const MarchCase& c) {
+  std::string id = c.test->name();
+  for (char& ch : id)
+    if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
+  return id;
+}
+
+void PrintTo(const MarchCase& c, std::ostream* os) { *os << case_id(c); }
+
+class BistEquivalence : public ::testing::TestWithParam<MarchCase> {};
 
 TEST_P(BistEquivalence, BehaviouralEqualsMicrocoded) {
-  const march::MarchTest& test = *GetParam();
+  const march::MarchTest& test = *GetParam().test;
   sim::RamGeometry g;
   g.words = 32;
   g.bpw = 4;
@@ -179,14 +199,13 @@ TEST_P(BistEquivalence, BehaviouralEqualsMicrocoded) {
 
 INSTANTIATE_TEST_SUITE_P(
     MarchLibrary, BistEquivalence,
-    ::testing::Values(&march::ifa9(), &march::ifa13(), &march::mats_plus(),
-                      &march::march_c_minus(), &march::march_x(),
-                      &march::march_y()),
-    [](const ::testing::TestParamInfo<const march::MarchTest*>& info) {
-      std::string name = info.param->name();
-      for (char& c : name)
-        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
-      return name;
+    ::testing::Values(MarchCase{&march::ifa9()}, MarchCase{&march::ifa13()},
+                      MarchCase{&march::mats_plus()},
+                      MarchCase{&march::march_c_minus()},
+                      MarchCase{&march::march_x()},
+                      MarchCase{&march::march_y()}),
+    [](const ::testing::TestParamInfo<MarchCase>& info) {
+      return case_id(info.param);
     });
 
 // --- yield model: analytic vs Monte-Carlo across geometries -------------------

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "cells/leaf_cells.hpp"
-#include "core/bisramgen.hpp"
+#include "core/compiler.hpp"
 #include "drc/drc.hpp"
 #include "extract/extract.hpp"
 #include "extract/lvs.hpp"
@@ -52,12 +52,12 @@ core::RamSpec small_spec() {
 }
 
 const core::Generated& small_macro() {
-  static const core::Generated g = core::generate(small_spec());
+  static const core::Generated g = core::Compiler().run(small_spec());
   return g;
 }
 
 const core::Generated& quickstart_macro() {
-  static const core::Generated g = core::generate(quickstart_spec());
+  static const core::Generated g = core::Compiler().run(quickstart_spec());
   return g;
 }
 
