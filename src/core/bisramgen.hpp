@@ -72,7 +72,7 @@ struct Generated {
   microcode::AssembledController trpla;
   pnr::FloorplanResult plan;
   /// Over-the-cell routing tallies from build_top, validated against the
-  /// placed-blocks LayoutDB (m3_conflicts == 0 on a clean build).
+  /// placed blocks' metal3 abstracts (m3_conflicts == 0 on a clean build).
   pnr::RouteStats route;
 };
 

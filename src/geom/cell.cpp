@@ -14,6 +14,19 @@ namespace {
 }
 }  // namespace
 
+void detail::refuse_too_deep(const Cell& cell) {
+  flatten_fail(cell.name(), "layout-flatten-too-deep",
+               "hierarchy nested deeper than " +
+                   std::to_string(kMaxFlattenDepth) +
+                   " levels (instance cycle?) at cell '" + cell.name() + "'");
+}
+
+void detail::refuse_too_many_instances(const Cell& cell) {
+  flatten_fail(cell.name(), "layout-flatten-too-many-instances",
+               "flatten exceeds " + std::to_string(kMaxFlattenInstances) +
+                   " instances at cell '" + cell.name() + "'");
+}
+
 void Cell::add_shape(Layer layer, const Rect& rect) {
   ensure(!rect.empty(), "Cell::add_shape: empty rect in cell " + name_);
   shapes_.push_back({layer, rect});
@@ -42,34 +55,34 @@ std::optional<Port> Cell::find_port(std::string_view name) const {
 }
 
 Rect Cell::bbox() const {
-  Rect box{};  // empty
-  for (const auto& s : shapes_) box = box.united(s.rect);
-  for (const auto& inst : instances_)
-    box = box.united(inst.transform.apply(inst.cell->bbox()));
-  return box;
+  return DefinitionFold<Rect>([](const Cell& c,
+                                 const std::vector<const Rect*>& sub) {
+    Rect box{};  // empty
+    for (const auto& s : c.shapes_) box = box.united(s.rect);
+    for (std::size_t i = 0; i < sub.size(); ++i)
+      box = box.united(c.instances_[i].transform.apply(*sub[i]));
+    return box;
+  })(*this);
 }
 
 std::size_t Cell::flat_shape_count() const {
-  std::size_t n = shapes_.size();
-  for (const auto& inst : instances_) n += inst.cell->flat_shape_count();
-  return n;
+  return DefinitionFold<std::size_t>(
+      [](const Cell& c, const std::vector<const std::size_t*>& sub) {
+        std::size_t n = c.shapes_.size();
+        for (const std::size_t* k : sub) n += *k;
+        return n;
+      })(*this);
 }
 
 void Cell::flatten_into(
     const Transform& t,
     const std::function<void(Layer, const Rect&)>& visit, int depth,
     std::size_t& instances) const {
-  if (depth > kMaxFlattenDepth)
-    flatten_fail(name_, "layout-flatten-too-deep",
-                 "hierarchy nested deeper than " +
-                     std::to_string(kMaxFlattenDepth) +
-                     " levels (instance cycle?) at cell '" + name_ + "'");
+  if (depth > kMaxFlattenDepth) detail::refuse_too_deep(*this);
   for (const auto& s : shapes_) visit(s.layer, t.apply(s.rect));
   for (const auto& inst : instances_) {
     if (++instances > kMaxFlattenInstances)
-      flatten_fail(name_, "layout-flatten-too-many-instances",
-                   "flatten exceeds " + std::to_string(kMaxFlattenInstances) +
-                       " instances at cell '" + name_ + "'");
+      detail::refuse_too_many_instances(*this);
     inst.cell->flatten_into(t.compose(inst.transform), visit, depth + 1,
                             instances);
   }

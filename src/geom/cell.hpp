@@ -5,11 +5,13 @@
 // paper describes ("no routing is necessary and the signals in adjacent
 // modules are perfectly aligned and connected by abutments").
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "geom/geometry.hpp"
@@ -17,8 +19,8 @@
 
 namespace bisram::geom {
 
-/// Flatten-recursion depth cap shared by Cell::flatten and
-/// LayoutDB: a hierarchy nested deeper than this (or one with an
+/// Flatten-recursion depth cap shared by Cell::flatten, LayoutDB and
+/// DefinitionFold: a hierarchy nested deeper than this (or one with an
 /// instance cycle, which recurses forever) aborts with a
 /// "layout-flatten-too-deep" DiagError instead of overflowing the
 /// stack — the same bounded-recursion policy as the JSON parser's
@@ -78,10 +80,13 @@ class Cell {
   /// Port by name; nullopt when absent.
   std::optional<Port> find_port(std::string_view name) const;
 
-  /// Bounding box over own shapes and all instances (recursive).
+  /// Bounding box over own shapes and all instances (recursive). Costs
+  /// one visit per distinct cell definition and instance edge, not per
+  /// flattened instance (see DefinitionFold, which also gives the
+  /// "layout-flatten-too-deep" refusal).
   Rect bbox() const;
 
-  /// Total shape count in the fully flattened cell.
+  /// Total shape count in the fully flattened cell, computed like bbox().
   std::size_t flat_shape_count() const;
 
   /// Visits every shape of the flattened hierarchy with its absolute
@@ -114,6 +119,62 @@ class Cell {
   std::vector<Shape> shapes_;
   std::vector<Port> ports_;
   std::vector<Instance> instances_;
+};
+
+namespace detail {
+/// Throw the "layout-flatten-too-deep" / "-too-many-instances"
+/// DiagErrors naming `cell`.
+[[noreturn]] void refuse_too_deep(const Cell& cell);
+[[noreturn]] void refuse_too_many_instances(const Cell& cell);
+}  // namespace detail
+
+/// Memoized bottom-up fold over the distinct cell definitions of a
+/// hierarchy. `fn(cell, sub)` computes one definition's value, where
+/// `sub[i]` is the value of `cell.instances()[i].cell`; each definition
+/// is computed once per DefinitionFold, so a query costs O(definitions
+/// + instance edges) however many instances the flatten would have.
+/// Like Cell::flatten it refuses hierarchies nested deeper than
+/// kMaxFlattenDepth below the queried cell, instance cycles included,
+/// with "layout-flatten-too-deep". The memo lives in the fold object,
+/// not in the cells, so published cells stay immutable.
+template <typename T>
+class DefinitionFold {
+ public:
+  using Fn = std::function<T(const Cell&, const std::vector<const T*>&)>;
+
+  explicit DefinitionFold(Fn fn) : fn_(std::move(fn)) {}
+
+  /// The value of `cell`'s definition.
+  const T& operator()(const Cell& cell) { return visit(cell, 0).value; }
+
+ private:
+  struct Entry {
+    T value;
+    int height = 0;  ///< instance levels below the definition
+  };
+
+  const Entry& visit(const Cell& cell, int depth) {
+    if (auto it = memo_.find(&cell); it != memo_.end()) {
+      if (depth + it->second.height > kMaxFlattenDepth)
+        detail::refuse_too_deep(cell);
+      return it->second;
+    }
+    if (depth > kMaxFlattenDepth) detail::refuse_too_deep(cell);
+    std::vector<const T*> sub;
+    sub.reserve(cell.instances().size());
+    int height = 0;
+    for (const auto& inst : cell.instances()) {
+      const Entry& e = visit(*inst.cell, depth + 1);
+      height = std::max(height, e.height + 1);
+      sub.push_back(&e.value);
+    }
+    // Entries are never erased and unordered_map nodes do not move, so
+    // the value pointers handed to fn_ stay valid.
+    return memo_.emplace(&cell, Entry{fn_(cell, sub), height}).first->second;
+  }
+
+  Fn fn_;
+  std::unordered_map<const Cell*, Entry> memo_;
 };
 
 /// Owning registry of cells; names are unique.

@@ -11,7 +11,7 @@
 // artifact the whole signoff flow shares:
 //
 //     cells --(flatten once)--> LayoutDB --> { DRC, extract, LVS,
-//                                              writers, pnr checks }
+//                                              writers }
 //
 // Since the incremental/serialization refactor the database is no
 // longer a per-run throwaway:

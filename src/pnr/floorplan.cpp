@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <limits>
 #include <map>
-#include <memory>
 #include <tuple>
 
-#include "geom/layout_db.hpp"
 #include "util/error.hpp"
 
 namespace bisram::pnr {
@@ -378,6 +376,61 @@ void draw_bridge(geom::Cell& top, const tech::Tech& t, geom::Layer layer,
                                   std::max(a.y, b.y) + w / 2));
 }
 
+/// What the route check needs of one cell definition's flattened
+/// hierarchy: the bbox of its metal3 (empty when it has none) and its
+/// flattened instance count (saturating just above the flatten cap).
+struct Metal3Abstract {
+  Rect m3;
+  std::size_t instances = 0;
+};
+
+geom::DefinitionFold<Metal3Abstract> metal3_abstracts() {
+  return geom::DefinitionFold<Metal3Abstract>(
+      [](const geom::Cell& c, const std::vector<const Metal3Abstract*>& sub) {
+        Metal3Abstract a;
+        for (const auto& s : c.shapes())
+          if (s.layer == geom::Layer::Metal3) a.m3 = a.m3.united(s.rect);
+        for (std::size_t i = 0; i < sub.size(); ++i) {
+          if (!sub[i]->m3.empty())
+            a.m3 = a.m3.united(c.instances()[i].transform.apply(sub[i]->m3));
+          a.instances = std::min(a.instances + 1 + sub[i]->instances,
+                                 geom::kMaxFlattenInstances + 1);
+        }
+        return a;
+      });
+}
+
+/// Counts every metal3 shape under `instances` (placed by `t`) that
+/// overlaps `wire` with positive area, naming each by its '/'-joined
+/// instance path. Shapes are visited in Cell::flatten order (a cell's
+/// own shapes, then its instances in order), so the tallies come out
+/// exactly as a flattened LayoutDB query would report them; subtrees
+/// whose metal3 abstract does not reach the wire are skipped whole.
+void check_wire(const std::vector<geom::Instance>& instances,
+                const Transform& t, const Rect& wire,
+                geom::DefinitionFold<Metal3Abstract>& abstracts,
+                std::vector<const std::string*>& path, RouteStats& stats) {
+  for (const auto& inst : instances) {
+    const Rect& m3 = abstracts(*inst.cell).m3;
+    const Transform ti = t.compose(inst.transform);
+    if (m3.empty() || !wire.intersects(ti.apply(m3))) continue;
+    path.push_back(&inst.name);
+    for (const auto& s : inst.cell->shapes()) {
+      if (s.layer != geom::Layer::Metal3 || !wire.overlaps(ti.apply(s.rect)))
+        continue;
+      std::string joined;
+      for (const std::string* seg : path) {
+        if (!joined.empty()) joined += '/';
+        joined += *seg;
+      }
+      ++stats.m3_conflicts;
+      stats.conflict_paths.push_back(std::move(joined));
+    }
+    check_wire(inst.cell->instances(), ti, wire, abstracts, path, stats);
+    path.pop_back();
+  }
+}
+
 }  // namespace
 
 CellPtr build_top(geom::Library& lib, const tech::Tech& t,
@@ -392,13 +445,15 @@ CellPtr build_top(geom::Library& lib, const tech::Tech& t,
     outlines.push_back(p.transform.apply(block.cell->bbox()));
   }
 
-  // Snapshot the placed blocks before any route shape exists: the
-  // over-the-cell wires are validated against this database (one
-  // flatten) instead of re-flattening the finished top.
-  std::unique_ptr<geom::LayoutDB> block_db;
+  // The over-the-cell wires are validated against per-definition metal3
+  // abstracts of the placed blocks, taken before any route shape exists.
+  // The top's fold refuses what a flatten of the placed blocks would:
+  // too deep a hierarchy, or too many instances.
+  auto abstracts = metal3_abstracts();
   if (stats) {
     *stats = RouteStats{};
-    block_db = std::make_unique<geom::LayoutDB>(*top);
+    if (abstracts(*top).instances > geom::kMaxFlattenInstances)
+      geom::detail::refuse_too_many_instances(*top);
   }
   std::vector<Rect> route_wires;
 
@@ -490,18 +545,13 @@ CellPtr build_top(geom::Library& lib, const tech::Tech& t,
   }
 
   if (stats) {
-    // Indexed overlap check of every route wire against block-internal
-    // metal3; a positive-area overlap is a genuine over-the-cell
-    // conflict, reported with the offending instance's path.
-    const auto& m3 = block_db->rects(geom::Layer::Metal3);
-    for (const Rect& wire : route_wires) {
-      block_db->for_each_in(geom::Layer::Metal3, wire, [&](std::uint32_t id) {
-        if (!wire.overlaps(m3[id])) return;
-        ++stats->m3_conflicts;
-        stats->conflict_paths.push_back(
-            block_db->shape_path(geom::Layer::Metal3, id));
-      });
-    }
+    // A positive-area overlap of a route wire with block-internal metal3
+    // is a genuine over-the-cell conflict, reported with the offending
+    // instance's path. The top's own shapes are all routes, so the walk
+    // starts at its block instances.
+    std::vector<const std::string*> path;
+    for (const Rect& wire : route_wires)
+      check_wire(top->instances(), Transform{}, wire, abstracts, path, *stats);
   }
   return top;
 }

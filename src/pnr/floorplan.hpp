@@ -92,8 +92,9 @@ FloorplanResult stretch(const std::vector<Block>& blocks,
                         StretchStats* stats = nullptr);
 
 /// Statistics from build_top's over-the-cell metal3 routing, validated
-/// against a LayoutDB snapshot of the placed blocks (built once, before
-/// any route shape is added).
+/// against memoized per-definition metal3 abstracts of the placed blocks
+/// (no flatten: a wire descends only into instances whose metal3 bbox
+/// reaches it).
 struct RouteStats {
   int routed_spans = 0;  ///< pin-to-pin spans given an L-route
   int via_stacks = 0;
@@ -101,15 +102,19 @@ struct RouteStats {
   double m3_length_dbu = 0;  ///< centreline length of the route wires
   /// Route wires overlapping block-internal metal3 with positive area —
   /// true over-the-cell conflicts; conflict_paths names the offending
-  /// instance (LayoutDB provenance), one entry per conflicting pair.
+  /// instance ('/'-joined instance path, as LayoutDB provenance), one
+  /// entry per conflicting pair, in wire order then flatten order.
   int m3_conflicts = 0;
   std::vector<std::string> conflict_paths;
 };
 
 /// Builds the placed top-level cell and routes every non-abutting net
 /// with an L-shaped over-the-cell metal3 wire (via stacks at the pins).
-/// When `stats` is non-null, the routes are validated against the
-/// placed-blocks LayoutDB and the tallies filled in.
+/// When `stats` is non-null, the routes are checked against the placed
+/// blocks' metal3 and the tallies filled in; a block hierarchy a flatten
+/// would refuse (deeper than kMaxFlattenDepth, or more than
+/// kMaxFlattenInstances instances) is refused with the same
+/// "layout-flatten-*" DiagError codes.
 CellPtr build_top(geom::Library& lib, const tech::Tech& t,
                   const std::string& name, const std::vector<Block>& blocks,
                   const std::vector<Net>& nets, const FloorplanResult& plan,

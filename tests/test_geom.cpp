@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "geom/cell.hpp"
 #include "geom/geometry.hpp"
 #include "geom/writers.hpp"
+#include "util/diag.hpp"
 #include "util/error.hpp"
 
 namespace bisram::geom {
@@ -161,6 +167,140 @@ TEST(Cell, TransistorCensusCountsGates) {
 TEST(Cell, RejectsEmptyShapes) {
   Cell c("bad");
   EXPECT_THROW(c.add_shape(Layer::Metal1, Rect{}), Error);
+}
+
+void expect_too_deep(const std::function<void()>& query) {
+  try {
+    query();
+    FAIL() << "expected DiagError";
+  } catch (const DiagError& e) {
+    ASSERT_FALSE(e.diagnostics().empty());
+    EXPECT_EQ(e.diagnostics()[0].code, "layout-flatten-too-deep");
+  }
+}
+
+/// A linear chain of `links` instances above a one-shape leaf.
+std::shared_ptr<Cell> make_chain(Library& lib, int links) {
+  auto cur = lib.create("chain0");
+  cur->add_shape(Layer::Metal1, Rect::ltrb(0, 0, 2, 2));
+  for (int i = 1; i <= links; ++i) {
+    auto next = lib.create("chain" + std::to_string(i));
+    next->add_instance("c", cur, Transform::translate(1, 1));
+    cur = next;
+  }
+  return cur;
+}
+
+TEST(Cell, BboxAndShapeCountRefusePathologicallyDeepHierarchies) {
+  // One level deeper than the guard: the same stable refusal as
+  // Cell::flatten and LayoutDB instead of a stack overflow.
+  Library lib;
+  const auto deep = make_chain(lib, kMaxFlattenDepth + 1);
+  expect_too_deep([&] { (void)deep->bbox(); });
+  expect_too_deep([&] { (void)deep->flat_shape_count(); });
+  expect_too_deep([&] { deep->flatten([](Layer, const Rect&) {}); });
+
+  // Exactly at the guard: every query answers, and agrees with flatten.
+  Library ok_lib;
+  const auto ok = make_chain(ok_lib, kMaxFlattenDepth);
+  Rect box{};
+  std::size_t n = 0;
+  ok->flatten([&](Layer, const Rect& r) {
+    box = box.united(r);
+    ++n;
+  });
+  EXPECT_EQ(ok->bbox(), box);
+  EXPECT_EQ(ok->flat_shape_count(), n);
+}
+
+TEST(Cell, BboxAndShapeCountRefuseSelfReferentialHierarchies) {
+  Library lib;
+  auto c = lib.create("ouroboros");
+  c->add_shape(Layer::Metal1, Rect::ltrb(0, 0, 2, 2));
+  // A non-owning self-reference: an owning one would be a shared_ptr
+  // cycle that outlives the test.
+  c->add_instance("self", CellPtr(CellPtr{}, c.get()),
+                  Transform::translate(4, 4));
+  expect_too_deep([&] { (void)c->bbox(); });
+  expect_too_deep([&] { (void)c->flat_shape_count(); });
+}
+
+TEST(Cell, DepthGuardCountsTheDeepestPathThroughSharedDefinitions) {
+  // The chain is reached first one level down (depth 64 at its leaf,
+  // legal), then memoized, then reached again two levels down (depth
+  // 65): the flatten refuses, so the memoized queries must too.
+  Library lib;
+  const auto chain = make_chain(lib, kMaxFlattenDepth - 1);
+  auto wrap = lib.create("wrap");
+  wrap->add_instance("c", chain, Transform{});
+  auto top = lib.create("top");
+  top->add_instance("shallow", chain, Transform{});
+  top->add_instance("deep", wrap, Transform{});
+  expect_too_deep([&] { top->flatten([](Layer, const Rect&) {}); });
+  expect_too_deep([&] { (void)top->bbox(); });
+  expect_too_deep([&] { (void)top->flat_shape_count(); });
+  EXPECT_NO_THROW((void)wrap->bbox());
+}
+
+// The plain recursion the memoized queries replaced, kept as the oracle.
+Rect naive_bbox(const Cell& c) {
+  Rect box{};
+  for (const auto& s : c.shapes()) box = box.united(s.rect);
+  for (const auto& inst : c.instances())
+    box = box.united(inst.transform.apply(naive_bbox(*inst.cell)));
+  return box;
+}
+
+std::size_t naive_flat_shape_count(const Cell& c) {
+  std::size_t n = c.shapes().size();
+  for (const auto& inst : c.instances())
+    n += naive_flat_shape_count(*inst.cell);
+  return n;
+}
+
+TEST(Cell, MemoizedBboxAndShapeCountMatchNaiveRecursion) {
+  // Random DAGs of shared definitions, placed under all eight
+  // orientations (cycled, so every seed uses each), with shapeless
+  // cells mixed in: the memoized answers are bit-identical.
+  int orient = 0;
+  for (std::uint32_t seed = 1; seed <= 40; ++seed) {
+    std::mt19937 rng(seed);
+    auto pick = [&](int lo, int hi) {
+      return std::uniform_int_distribution<int>(lo, hi)(rng);
+    };
+    Library lib;
+    std::vector<std::shared_ptr<Cell>> cells;
+    for (int level = 0; level < 4; ++level) {
+      const int count = level == 3 ? 1 : pick(2, 4);
+      std::vector<std::shared_ptr<Cell>> made;
+      for (int k = 0; k < count; ++k) {
+        auto c = lib.create("c" + std::to_string(level) + "_" +
+                            std::to_string(k));
+        const int shapes = level == 0 ? pick(0, 3) : pick(0, 2);
+        for (int i = 0; i < shapes; ++i) {
+          const Coord x = pick(-60, 60), y = pick(-60, 60);
+          c->add_shape(static_cast<Layer>(pick(0, kLayerCount - 1)),
+                       Rect::xywh(x, y, pick(1, 30), pick(1, 30)));
+        }
+        const int instances = level == 0 ? 0 : pick(1, 5);
+        for (int i = 0; i < instances; ++i) {
+          const auto& child = cells[static_cast<std::size_t>(
+              pick(0, static_cast<int>(cells.size()) - 1))];
+          c->add_instance("i" + std::to_string(i), child,
+                          Transform(static_cast<Orient>(orient++ % 8),
+                                    {pick(-200, 200), pick(-200, 200)}));
+        }
+        made.push_back(c);
+      }
+      cells.insert(cells.end(), made.begin(), made.end());
+    }
+    for (const auto& c : cells) {
+      EXPECT_EQ(c->bbox(), naive_bbox(*c))
+          << "seed " << seed << " " << c->name();
+      EXPECT_EQ(c->flat_shape_count(), naive_flat_shape_count(*c))
+          << "seed " << seed << " " << c->name();
+    }
+  }
 }
 
 TEST(Library, CreateAndLookup) {

@@ -5,9 +5,12 @@
 
 #include <algorithm>
 #include <map>
+#include <random>
 
+#include "geom/layout_db.hpp"
 #include "pnr/floorplan.hpp"
 #include "tech/tech.hpp"
+#include "util/diag.hpp"
 #include "util/error.hpp"
 
 namespace bisram::pnr {
@@ -340,6 +343,238 @@ TEST(Stretch, NeverIntroducesOverlapOnRealPlans) {
   for (std::size_t i = 0; i < outlines.size(); ++i)
     for (std::size_t j = i + 1; j < outlines.size(); ++j)
       EXPECT_FALSE(outlines[i].overlaps(outlines[j])) << i << " vs " << j;
+}
+
+// --- over-the-cell route check ---------------------------------------------
+
+/// Three blocks in a row: a's port faces b's across c, so the one route
+/// wire runs horizontally over c, whose metal3 sits two levels down
+/// (c/mid/core) under rotated and mirrored placements.
+struct OverTheCell {
+  geom::Library lib;
+  std::shared_ptr<geom::Cell> a, b, c, mid, core;
+  std::vector<Block> blocks;
+  std::vector<Net> nets = {{"n", {{0, "p"}, {1, "p"}}}};
+  FloorplanResult plan;
+
+  OverTheCell() {
+    a = lib.create("blk_a");
+    a->add_shape(Layer::Metal1, Rect::ltrb(0, 0, 1000, 1000));
+    a->add_port("p", Layer::Metal1, Rect::ltrb(940, 450, 1000, 510));
+    b = lib.create("blk_b");
+    b->add_shape(Layer::Metal1, Rect::ltrb(0, 0, 1000, 1000));
+    b->add_port("p", Layer::Metal2, Rect::ltrb(0, 450, 60, 510));
+    core = lib.create("core");
+    core->add_shape(Layer::Metal1, Rect::ltrb(0, 0, 50, 50));
+    mid = lib.create("mid");
+    mid->add_instance("core", core, Transform(geom::Orient::MX, {50, 600}));
+    c = lib.create("blk_c");
+    c->add_shape(Layer::Metal1, Rect::ltrb(0, 0, 1000, 1000));
+    c->add_instance("mid", mid, Transform(geom::Orient::R90, {700, 100}));
+    blocks = {{"a", a}, {"b", b}, {"c", c}};
+    plan.placements = {{0, Transform{}},
+                       {1, Transform::translate(5000, 0)},
+                       {2, Transform::translate(2000, 0)}};
+  }
+
+  /// Adds a metal3 rect to `core` that lands on `absolute` in the top.
+  void plant(const Rect& absolute) {
+    const Transform to_top = plan.placements[2]
+                                 .transform.compose(c->instances()[0].transform)
+                                 .compose(mid->instances()[0].transform);
+    core->add_shape(Layer::Metal3, to_top.inverse().apply(absolute));
+  }
+
+  /// The route wire running over c (found by building a probe top).
+  Rect wire() {
+    RouteStats probe;
+    const auto top =
+        build_top(lib, tech::cda_07(), "probe", blocks, nets, plan, &probe);
+    EXPECT_EQ(probe.m3_conflicts, 0);
+    for (const auto& s : top->shapes())
+      if (s.layer == Layer::Metal3 && s.rect.width() > 3000) return s.rect;
+    ADD_FAILURE() << "no route wire over block c";
+    return Rect{};
+  }
+};
+
+TEST(BuildTop, PlantedMetal3UnderARouteIsCaughtAndNamed) {
+  OverTheCell f;
+  const Rect w = f.wire();
+  ASSERT_FALSE(w.empty());
+  f.plant(Rect::ltrb(2450, w.lo.y - 20, 2550, w.hi.y + 20));
+  RouteStats stats;
+  build_top(f.lib, tech::cda_07(), "top", f.blocks, f.nets, f.plan, &stats);
+  EXPECT_EQ(stats.routed_spans, 1);
+  EXPECT_EQ(stats.m3_conflicts, 1);
+  EXPECT_EQ(stats.conflict_paths, std::vector<std::string>{"c/mid/core"});
+}
+
+TEST(BuildTop, Metal3TouchingARouteEdgeIsNotAConflict) {
+  OverTheCell f;
+  const Rect w = f.wire();
+  ASSERT_FALSE(w.empty());
+  // Abuts the wire's top and bottom edges: touching, no shared area.
+  const Rect above = Rect::ltrb(2600, w.hi.y, 2700, w.hi.y + 100);
+  const Rect below = Rect::ltrb(2300, w.lo.y - 100, 2400, w.lo.y);
+  ASSERT_TRUE(above.intersects(w) && below.intersects(w));
+  ASSERT_FALSE(above.overlaps(w) || below.overlaps(w));
+  f.plant(above);
+  f.plant(below);
+  // Metal3 owned by the block itself, clear of the wire.
+  f.c->add_shape(Layer::Metal3, Rect::ltrb(100, 900, 200, 980));
+  RouteStats stats;
+  build_top(f.lib, tech::cda_07(), "top", f.blocks, f.nets, f.plan, &stats);
+  EXPECT_EQ(stats.m3_conflicts, 0);
+  EXPECT_TRUE(stats.conflict_paths.empty());
+}
+
+TEST(BuildTop, RefusesWhatAFlattenOfThePlacedBlocksWould) {
+  const auto& t = tech::cda_07();
+  FloorplanResult plan;
+  plan.placements = {{0, Transform{}}};
+  {
+    // A chain one level deeper than the guard below the top.
+    geom::Library lib;
+    auto cur = lib.create("chain0");
+    cur->add_shape(Layer::Metal1, Rect::ltrb(0, 0, 2, 2));
+    for (int i = 1; i <= geom::kMaxFlattenDepth; ++i) {
+      auto next = lib.create("chain" + std::to_string(i));
+      next->add_instance("c", cur, Transform::translate(1, 1));
+      cur = next;
+    }
+    RouteStats stats;
+    try {
+      build_top(lib, t, "top", {{"deep", cur}}, {}, plan, &stats);
+      FAIL() << "expected DiagError";
+    } catch (const DiagError& e) {
+      EXPECT_EQ(e.diagnostics().at(0).code, "layout-flatten-too-deep");
+    }
+  }
+  {
+    // 2^27 leaves in 27 doubling levels: cheap to build and to bound,
+    // past the instance cap to flatten.
+    geom::Library lib;
+    auto cur = lib.create("twice0");
+    cur->add_shape(Layer::Metal1, Rect::ltrb(0, 0, 2, 2));
+    for (int i = 1; i <= 27; ++i) {
+      auto next = lib.create("twice" + std::to_string(i));
+      next->add_instance("l", cur, Transform{});
+      next->add_instance("r", cur, Transform::translate(2 << (i - 1), 0));
+      cur = next;
+    }
+    const std::vector<Block> blocks = {{"huge", cur}};
+    RouteStats stats;
+    try {
+      build_top(lib, t, "top", blocks, {}, plan, &stats);
+      FAIL() << "expected DiagError";
+    } catch (const DiagError& e) {
+      EXPECT_EQ(e.diagnostics().at(0).code,
+                "layout-flatten-too-many-instances");
+    }
+    // Without route stats nothing is checked, so nothing is refused.
+    EXPECT_NO_THROW(build_top(lib, t, "top_unchecked", blocks, {}, plan));
+  }
+}
+
+/// The check build_top used to run, kept as the oracle: flatten the
+/// placed blocks into a LayoutDB and query it with every route wire.
+/// Route wires are the top's metal3 shapes exactly one metal3 width
+/// across (the via landing pads are wider).
+RouteStats layout_db_check(const geom::Cell& top, const tech::Tech& t) {
+  geom::Cell placed("placed");
+  for (const auto& inst : top.instances())
+    placed.add_instance(inst.name, inst.cell, inst.transform);
+  const geom::LayoutDB db(placed);
+  const Coord w3 = t.rule(Layer::Metal3).min_width;
+  const auto& m3 = db.rects(Layer::Metal3);
+  RouteStats ref;
+  for (const auto& s : top.shapes()) {
+    if (s.layer != Layer::Metal3 ||
+        std::min(s.rect.width(), s.rect.height()) != 2 * (w3 / 2))
+      continue;
+    ++ref.m3_wires;
+    db.for_each_in(Layer::Metal3, s.rect, [&](std::uint32_t id) {
+      if (!s.rect.overlaps(m3[id])) return;
+      ++ref.m3_conflicts;
+      ref.conflict_paths.push_back(db.shape_path(Layer::Metal3, id));
+    });
+  }
+  return ref;
+}
+
+TEST(BuildTop, AbstractRouteCheckMatchesLayoutDbOnRandomHierarchies) {
+  // Random blocks built from shared, rotated and mirrored sub-cells full
+  // of metal3, joined by random nets: the conflict count and every
+  // offender path, in order, equal the flattened LayoutDB query's.
+  const auto& t = tech::cda_07();
+  int conflicts = 0;
+  for (std::uint32_t seed = 1; seed <= 24; ++seed) {
+    std::mt19937 rng(seed);
+    auto pick = [&](int lo, int hi) {
+      return std::uniform_int_distribution<int>(lo, hi)(rng);
+    };
+    auto orient = [&] { return static_cast<geom::Orient>(pick(0, 7)); };
+    geom::Library lib;
+    std::vector<CellPtr> leaves;
+    for (int k = 0; k < 3; ++k) {
+      auto leaf = lib.create("leaf" + std::to_string(k));
+      for (int i = pick(1, 3); i > 0; --i)
+        leaf->add_shape(i % 2 ? Layer::Metal3 : Layer::Metal1,
+                        Rect::xywh(pick(0, 300), pick(0, 300), pick(20, 400),
+                                   pick(20, 400)));
+      leaves.push_back(leaf);
+    }
+    std::vector<CellPtr> mids;
+    for (int k = 0; k < 2; ++k) {
+      auto mid = lib.create("mid" + std::to_string(k));
+      if (pick(0, 1)) mid->add_shape(Layer::Metal3, Rect::xywh(0, 0, 60, 500));
+      for (int i = pick(1, 4); i > 0; --i)
+        mid->add_instance("l" + std::to_string(i),
+                          leaves[static_cast<std::size_t>(pick(0, 2))],
+                          Transform(orient(),
+                                    {pick(-300, 300), pick(-300, 300)}));
+      mids.push_back(mid);
+    }
+    std::vector<Block> blocks;
+    const int nblocks = pick(3, 5);
+    for (int k = 0; k < nblocks; ++k) {
+      auto blk = lib.create("blk" + std::to_string(k));
+      const Coord w = pick(1200, 3000), h = pick(1200, 3000);
+      blk->add_shape(Layer::Metal1, Rect::ltrb(0, 0, w, h));
+      for (int i = pick(1, 4); i > 0; --i)
+        blk->add_instance("m" + std::to_string(i),
+                          mids[static_cast<std::size_t>(pick(0, 1))],
+                          Transform(orient(), {pick(400, w - 400),
+                                               pick(400, h - 400)}));
+      const Layer pl = pick(0, 1) ? Layer::Metal1 : Layer::Metal2;
+      const Coord py = pick(100, h - 160), px = pick(100, w - 160);
+      blk->add_port("w", pl, Rect::ltrb(0, py, 60, py + 60));
+      blk->add_port("e", pl, Rect::ltrb(w - 60, py, w, py + 60));
+      blk->add_port("s", pl, Rect::ltrb(px, 0, px + 60, 60));
+      blk->add_port("n", pl, Rect::ltrb(px, h - 60, px + 60, h));
+      blocks.push_back({"B" + std::to_string(k), blk});
+    }
+    const char* ports[] = {"w", "e", "s", "n"};
+    std::vector<Net> nets;
+    for (int k = pick(2, 5); k > 0; --k) {
+      Net net{"net" + std::to_string(k), {}};
+      for (int i = pick(2, 3); i > 0; --i)
+        net.pins.push_back({pick(0, nblocks - 1), ports[pick(0, 3)]});
+      nets.push_back(net);
+    }
+    FloorplanOptions opt;
+    opt.spacing = geom::dbu(12);
+    const auto plan = floorplan(blocks, nets, opt);
+    RouteStats stats;
+    const auto top = build_top(lib, t, "top", blocks, nets, plan, &stats);
+    const RouteStats ref = layout_db_check(*top, t);
+    EXPECT_EQ(ref.m3_wires, stats.m3_wires) << "seed " << seed;
+    EXPECT_EQ(stats.m3_conflicts, ref.m3_conflicts) << "seed " << seed;
+    EXPECT_EQ(stats.conflict_paths, ref.conflict_paths) << "seed " << seed;
+    conflicts += stats.m3_conflicts;
+  }
+  EXPECT_GT(conflicts, 0) << "the oracle never saw a conflict";
 }
 
 }  // namespace
