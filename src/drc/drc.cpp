@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "util/parallel.hpp"
+#include "util/union_find.hpp"
 #include "util/strings.hpp"
 
 namespace bisram::drc {
@@ -347,41 +348,6 @@ struct IncrementalDrc::Impl {
     return 2 * geom::kLayerCount + static_cast<int>(via_rules.size());
   }
 
-  /// Collapsed root table from an edge list (the same partition
-  /// check()'s serial union-find produces; root identities differ but
-  /// only same-root comparisons and per-component minima are used).
-  static std::vector<std::uint32_t> roots_of(
-      std::size_t n, const std::vector<std::uint64_t>& edges) {
-    std::vector<std::uint32_t> parent(n);
-    for (std::uint32_t i = 0; i < n; ++i) parent[i] = i;
-    auto find = [&](std::uint32_t x) {
-      while (parent[x] != x) {
-        parent[x] = parent[parent[x]];
-        x = parent[x];
-      }
-      return x;
-    };
-    for (std::uint64_t e : edges) {
-      const auto a = find(static_cast<std::uint32_t>(e >> 32));
-      const auto b = find(static_cast<std::uint32_t>(e));
-      if (a != b) parent[a] = b;
-    }
-    for (std::uint32_t i = 0; i < n; ++i) parent[i] = find(i);
-    return parent;
-  }
-
-  /// label[i] = smallest shape id in i's component.
-  static std::vector<std::uint32_t> labels_of(
-      const std::vector<std::uint32_t>& root) {
-    std::vector<std::uint32_t> first(root.size(), ShapeSplice::kRemoved);
-    std::vector<std::uint32_t> label(root.size());
-    for (std::uint32_t i = 0; i < root.size(); ++i) {
-      if (first[root[i]] == ShapeSplice::kRemoved) first[root[i]] = i;
-      label[i] = first[root[i]];
-    }
-    return label;
-  }
-
   void emit_width(Layer layer, std::uint32_t i) {
     const auto& r = db->rects(layer)[i];
     recs.push_back({width_phase(layer), i, 0,
@@ -449,12 +415,12 @@ struct IncrementalDrc::Impl {
           idx.for_each_in(rects[i], [&](std::uint32_t j) {
             if (j > i) sc.edges.push_back(pack(i, j));
           });
-        const auto root = roots_of(rects.size(), sc.edges);
-        sc.label = labels_of(root);
+        sc.label = component_labels(rects.size(), sc.edges);
+        const auto& label = sc.label;
         for (std::uint32_t i = 0; i < rects.size(); ++i)
           idx.for_each_in(rects[i].expanded(rule.min_space),
                           [&](std::uint32_t j) {
-                            if (j <= i || root[i] == root[j]) return;
+                            if (j <= i || label[i] == label[j]) return;
                             const Coord gap = geom::rect_gap(rects[i], rects[j]);
                             if (gap < rule.min_space)
                               emit_space(layer, i, j, gap, rule.min_space);
@@ -491,7 +457,57 @@ struct IncrementalDrc::Impl {
     recs.resize(w);
   }
 
-  void update_layer(Layer layer, const geom::EditResult& edit) {
+  /// Steps 1-3 of one layer's spacing update: the carried and
+  /// discovered touching pairs, the new labels, and the shapes whose
+  /// same-component predicate can have flipped. Reads only the layer's
+  /// own state, so the touched layers run side by side on the pool.
+  struct Relabel {
+    std::vector<std::uint64_t> edges;
+    std::vector<std::uint32_t> label;
+    std::vector<char> affected;
+  };
+  Relabel relabel(Layer layer, const ShapeSplice& sp) const {
+    const auto& rects = db->rects(layer);
+    const auto& idx = db->index(layer);
+    const SpaceCache& sc = space[static_cast<std::size_t>(layer)];
+    Relabel out;
+
+    // 1. Carry surviving edges across the splice (a monotone remap, so
+    //    the i<j packing is preserved).
+    out.edges.reserve(sc.edges.size());
+    for (std::uint64_t e : sc.edges) {
+      const std::uint32_t a = sp.remap(static_cast<std::uint32_t>(e >> 32));
+      const std::uint32_t b = sp.remap(static_cast<std::uint32_t>(e));
+      if (a == ShapeSplice::kRemoved || b == ShapeSplice::kRemoved) continue;
+      out.edges.push_back(pack(a, b));
+    }
+    // 2. Discover the inserted shapes' edges. A pair of two inserted
+    //    shapes is found from both ends; keep the lower end's visit.
+    auto is_new = [&](std::uint32_t id) {
+      return id >= sp.begin && id < sp.new_end;
+    };
+    for (std::uint32_t k = sp.begin; k < sp.new_end; ++k)
+      idx.for_each_in(rects[k], [&](std::uint32_t j) {
+        if (j == k || (is_new(j) && j < k)) return;
+        out.edges.push_back(pack(std::min(j, k), std::max(j, k)));
+      });
+
+    // 3. Relabel; a shape is affected when it is new or its component
+    //    label changed (exactly the shapes whose same-component
+    //    predicate can have flipped).
+    out.label = component_labels(rects.size(), out.edges);
+    out.affected.assign(rects.size() + 1, 0);
+    for (std::uint32_t k = sp.begin; k < sp.new_end; ++k) out.affected[k] = 1;
+    for (std::uint32_t o = 0; o < sc.label.size(); ++o) {
+      const std::uint32_t n = sp.remap(o);
+      if (n == ShapeSplice::kRemoved) continue;
+      if (sp.remap(sc.label[o]) != out.label[n]) out.affected[n] = 1;
+    }
+    return out;
+  }
+
+  void update_layer(Layer layer, const geom::EditResult& edit,
+                    Relabel* rl) {
     const auto& rule = tech.rule(layer);
     const ShapeSplice& sp = edit.splice_of(layer);
     const auto& rects = db->rects(layer);
@@ -507,42 +523,10 @@ struct IncrementalDrc::Impl {
     if (rule.min_space == 0) return;
 
     auto& sc = space[static_cast<std::size_t>(layer)];
-
-    // 1. Carry surviving edges across the splice (a monotone remap, so
-    //    the i<j packing is preserved).
-    std::vector<std::uint64_t> edges;
-    edges.reserve(sc.edges.size());
-    for (std::uint64_t e : sc.edges) {
-      const std::uint32_t a = sp.remap(static_cast<std::uint32_t>(e >> 32));
-      const std::uint32_t b = sp.remap(static_cast<std::uint32_t>(e));
-      if (a == ShapeSplice::kRemoved || b == ShapeSplice::kRemoved) continue;
-      edges.push_back(pack(a, b));
-    }
-    // 2. Discover the inserted shapes' edges. A pair of two inserted
-    //    shapes is found from both ends; keep the lower end's visit.
-    auto is_new = [&](std::uint32_t id) {
-      return id >= sp.begin && id < sp.new_end;
-    };
-    for (std::uint32_t k = sp.begin; k < sp.new_end; ++k)
-      idx.for_each_in(rects[k], [&](std::uint32_t j) {
-        if (j == k || (is_new(j) && j < k)) return;
-        edges.push_back(pack(std::min(j, k), std::max(j, k)));
-      });
-
-    // 3. Rebuild the partition and labels; a shape is affected when it
-    //    is new or its component label changed (exactly the shapes
-    //    whose same-component predicate can have flipped).
-    const auto root = roots_of(rects.size(), edges);
-    auto label = labels_of(root);
-    std::vector<char> affected(rects.size() + 1, 0);
-    for (std::uint32_t k = sp.begin; k < sp.new_end; ++k) affected[k] = 1;
-    for (std::uint32_t o = 0; o < sc.label.size(); ++o) {
-      const std::uint32_t n = sp.remap(o);
-      if (n == ShapeSplice::kRemoved) continue;
-      if (sp.remap(sc.label[o]) != label[n]) affected[n] = 1;
-    }
-    sc.edges = std::move(edges);
-    sc.label = std::move(label);
+    sc.edges = std::move(rl->edges);
+    sc.label = std::move(rl->label);
+    const auto& label = sc.label;
+    const auto& affected = rl->affected;
 
     // 4. Splice the surviving spacing records and rescan the affected
     //    shapes. Scanning ascending, a pair of two affected shapes is
@@ -551,7 +535,7 @@ struct IncrementalDrc::Impl {
     for (std::uint32_t k = 0; k < rects.size(); ++k) {
       if (!affected[k]) continue;
       idx.for_each_in(rects[k].expanded(rule.min_space), [&](std::uint32_t j) {
-        if (j == k || root[j] == root[k]) return;
+        if (j == k || label[j] == label[k]) return;
         if (affected[j] && j < k) return;
         const Coord gap = geom::rect_gap(rects[k], rects[j]);
         if (gap < rule.min_space)
@@ -572,8 +556,19 @@ struct IncrementalDrc::Impl {
   }
 
   void update(const geom::EditResult& edit) {
+    std::vector<Layer> touched;
     for (Layer layer : geom::all_layers())
-      if (edit.touches(layer)) update_layer(layer, edit);
+      if (edit.touches(layer)) touched.push_back(layer);
+    std::vector<Relabel> relabels(touched.size());
+    parallel_for(static_cast<std::int64_t>(touched.size()), 1,
+                 [&](std::int64_t i) {
+                   const Layer l = touched[static_cast<std::size_t>(i)];
+                   if (tech.rule(l).min_space > 0)
+                     relabels[static_cast<std::size_t>(i)] =
+                         relabel(l, edit.splice_of(l));
+                 });
+    for (std::size_t i = 0; i < touched.size(); ++i)
+      update_layer(touched[i], edit, &relabels[i]);
 
     for (std::size_t vi = 0; vi < via_rules.size(); ++vi) {
       const ViaRule& vr = via_rules[vi];

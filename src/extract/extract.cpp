@@ -1,54 +1,16 @@
 #include "extract/extract.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "util/error.hpp"
+#include "util/parallel.hpp"
+#include "util/union_find.hpp"
 
 namespace bisram::extract {
 
 using geom::Layer;
 using geom::LayoutDB;
 using geom::Rect;
-using geom::TileIndex;
-
-namespace {
-
-/// Union-find over shape ids.
-class UnionFind {
- public:
-  explicit UnionFind(std::size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), std::size_t{0});
-  }
-  std::size_t find(std::size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  void unite(std::size_t a, std::size_t b) { parent_[find(a)] = find(b); }
-
- private:
-  std::vector<std::size_t> parent_;
-};
-
-struct Piece {
-  Layer layer;
-  Rect rect;
-  std::uint32_t path = 0;  ///< LayoutDB path node of the source shape
-};
-
-/// True when `poly` fully crosses `diff` (a transistor gate).
-bool crosses(const Rect& poly, const Rect& diff) {
-  const Rect x = poly.intersection(diff);
-  if (x.empty()) return false;
-  const bool vertical = poly.lo.y <= diff.lo.y && poly.hi.y >= diff.hi.y;
-  const bool horizontal = poly.lo.x <= diff.lo.x && poly.hi.x >= diff.hi.x;
-  return vertical || horizontal;
-}
-
-}  // namespace
 
 std::vector<Device> Extracted::gated_by(int net) const {
   std::vector<Device> out;
@@ -71,200 +33,13 @@ bool Extracted::channel_between(int a, int b) const {
   return false;
 }
 
-// Bit-identity note: net numbers are assigned in net_of() call order, and
-// every step below visits pieces in the same order the pre-LayoutDB
-// flatten-and-scan extractor did — diffusion splits in flatten order,
-// gates per diffusion in poly id order (TileIndex queries report ids in
-// increasing order, the order a linear scan saw them), "first piece
-// matching" lookups as minimum-id query hits. Hence the extracted
-// netlist is bit-identical to the historical code.
-Extracted extract(const geom::LayoutDB& db, const tech::Tech& tech) {
-  // --- 1. split diffusion at gate crossings; collect device sites -------
-  struct Site {
-    bool pmos;
-    Rect gate_poly;
-    Rect channel;       // poly-diff intersection
-    std::size_t left;   // piece ids filled after pieces are final
-    std::size_t right;
-    std::uint32_t path; // diffusion shape's provenance
-  };
-  std::vector<Piece> pieces;
-  std::vector<Site> sites;
-
-  const auto& polys = db.rects(Layer::Poly);
-  const auto& poly_index = db.index(Layer::Poly);
-  for (Layer dl : {Layer::NDiff, Layer::PDiff}) {
-    const auto& diff_shapes = db.shapes(dl);
-    for (const geom::DbShape& ds : diff_shapes) {
-      const Rect& diff = ds.rect;
-      // Gates crossing this diffusion, sorted along the stripe axis.
-      std::vector<Rect> gates;
-      poly_index.for_each_in(diff, [&](std::uint32_t pid) {
-        if (crosses(polys[pid], diff)) gates.push_back(polys[pid]);
-      });
-      if (gates.empty()) {
-        pieces.push_back({dl, diff, ds.path});
-        continue;
-      }
-      const bool split_x = gates[0].lo.y <= diff.lo.y;  // vertical gates
-      std::sort(gates.begin(), gates.end(), [&](const Rect& a, const Rect& b) {
-        return split_x ? a.lo.x < b.lo.x : a.lo.y < b.lo.y;
-      });
-      geom::Coord pos = split_x ? diff.lo.x : diff.lo.y;
-      std::vector<std::size_t> segment_ids;
-      for (const Rect& g : gates) {
-        const Rect seg = split_x
-                             ? Rect::ltrb(pos, diff.lo.y, g.lo.x, diff.hi.y)
-                             : Rect::ltrb(diff.lo.x, pos, diff.hi.x, g.lo.y);
-        segment_ids.push_back(pieces.size());
-        pieces.push_back({dl, seg, ds.path});
-        pos = split_x ? g.hi.x : g.hi.y;
-      }
-      const Rect last = split_x
-                            ? Rect::ltrb(pos, diff.lo.y, diff.hi.x, diff.hi.y)
-                            : Rect::ltrb(diff.lo.x, pos, diff.hi.x, diff.hi.y);
-      segment_ids.push_back(pieces.size());
-      pieces.push_back({dl, last, ds.path});
-
-      for (std::size_t g = 0; g < gates.size(); ++g) {
-        Site site;
-        site.pmos = dl == Layer::PDiff;
-        site.gate_poly = gates[g];
-        site.channel = gates[g].intersection(diff);
-        site.left = segment_ids[g];
-        site.right = segment_ids[g + 1];
-        site.path = ds.path;
-        sites.push_back(site);
-      }
-    }
-  }
-
-  // --- 2. other conducting layers as-is ------------------------------------
-  for (Layer l : {Layer::Poly, Layer::Metal1, Layer::Metal2, Layer::Metal3,
-                  Layer::Contact, Layer::Via1, Layer::Via2})
-    for (const geom::DbShape& s : db.shapes(l))
-      pieces.push_back({l, s.rect, s.path});
-
-  // --- 3. connectivity ------------------------------------------------------
-  // One tile index over every piece; each piece unites with its
-  // overlapping electrical neighbors found by an indexed window query
-  // (the j > i filter visits each unordered pair once).
-  std::vector<Rect> piece_rects;
-  piece_rects.reserve(pieces.size());
-  for (const Piece& p : pieces) piece_rects.push_back(p.rect);
-  const TileIndex piece_index(piece_rects, db.tile_size());
-
-  UnionFind uf(pieces.size());
-  auto connects = [&](Layer a, Layer b) {
-    // Same-layer shapes merge on touch; vias merge with their adjacent
-    // layers; poly never merges with diffusion (that is a gate).
-    if (a == b) return a != Layer::Contact && a != Layer::Via1 && a != Layer::Via2;
-    auto pair_is = [&](Layer x, Layer y) {
-      return (a == x && b == y) || (a == y && b == x);
-    };
-    if (pair_is(Layer::Contact, Layer::Metal1)) return true;
-    if (pair_is(Layer::Contact, Layer::Poly)) return true;
-    if (pair_is(Layer::Contact, Layer::NDiff)) return true;
-    if (pair_is(Layer::Contact, Layer::PDiff)) return true;
-    if (pair_is(Layer::Via1, Layer::Metal1)) return true;
-    if (pair_is(Layer::Via1, Layer::Metal2)) return true;
-    if (pair_is(Layer::Via2, Layer::Metal2)) return true;
-    if (pair_is(Layer::Via2, Layer::Metal3)) return true;
-    return false;
-  };
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
-    const Piece& pi = pieces[i];
-    piece_index.for_each_in(pi.rect, [&](std::uint32_t j) {
-      if (j <= i) return;
-      const Piece& pj = pieces[j];
-      if (connects(pi.layer, pj.layer)) uf.unite(i, j);
-    });
-  }
-
-  // --- 4. net numbering ------------------------------------------------------
-  Extracted out;
-  std::map<std::size_t, int> root_to_net;
-  auto net_of = [&](std::size_t piece) {
-    const std::size_t root = uf.find(piece);
-    auto it = root_to_net.find(root);
-    if (it != root_to_net.end()) return it->second;
-    const int id = out.net_count++;
-    root_to_net[root] = id;
-    return id;
-  };
-
-  /// Lowest-id piece on `layer` intersecting `window` (the piece a
-  /// linear scan would have found first), or pieces.size() when none.
-  auto first_piece_on = [&](Layer layer, const Rect& window) {
-    std::size_t found = pieces.size();
-    piece_index.for_each_in(window, [&](std::uint32_t j) {
-      if (found != pieces.size()) return;  // ids arrive in increasing order
-      if (pieces[j].layer == layer && pieces[j].rect.intersects(window))
-        found = j;
-    });
-    return found;
-  };
-
-  // --- 5. devices -------------------------------------------------------------
-  auto poly_piece_net = [&](const Rect& gate) {
-    const std::size_t i = first_piece_on(Layer::Poly, gate);
-    if (i == pieces.size())
-      throw InternalError("extract: gate poly piece not found");
-    return net_of(i);
-  };
-  const double um_per_dbu = tech.lambda_um / 10.0;
-  for (const Site& s : sites) {
-    Device d;
-    d.type = s.pmos ? spice::MosType::Pmos : spice::MosType::Nmos;
-    d.gate = poly_piece_net(s.gate_poly);
-    d.source = net_of(s.left);
-    d.drain = net_of(s.right);
-    const bool split_x = s.gate_poly.lo.y <= s.channel.lo.y;
-    const geom::Coord w = split_x ? s.channel.height() : s.channel.width();
-    const geom::Coord l = split_x ? s.channel.width() : s.channel.height();
-    d.w_um = static_cast<double>(w) * um_per_dbu;
-    d.l_um = static_cast<double>(l) * um_per_dbu;
-    d.path = db.path_name(s.path);
-    out.devices.push_back(d);
-  }
-
-  // --- 6. ports ---------------------------------------------------------------
-  for (const auto& port : db.ports()) {
-    const std::size_t i = first_piece_on(port.layer, port.rect);
-    require(i != pieces.size(), "extract: port '" + port.name +
-                                    "' touches no geometry on its layer");
-    out.port_net[port.name] = net_of(i);
-  }
-
-  // --- 7. parasitic capacitance -------------------------------------------------
-  out.net_cap_f.assign(static_cast<std::size_t>(out.net_count), 0.0);
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
-    const Piece& p = pieces[i];
-    if (geom::is_via(p.layer)) continue;
-    const auto& wp = tech.elec.wire[static_cast<std::size_t>(p.layer)];
-    if (wp.cap_area_f_um2 == 0.0 && wp.cap_fringe_f_um == 0.0) continue;
-    const double w = static_cast<double>(p.rect.width()) * um_per_dbu;
-    const double h = static_cast<double>(p.rect.height()) * um_per_dbu;
-    const int net = net_of(i);
-    // net_of may mint a net here for a component no device or port
-    // reached (isolated fill); grow the table rather than write past it.
-    if (static_cast<std::size_t>(net) >= out.net_cap_f.size())
-      out.net_cap_f.resize(static_cast<std::size_t>(net) + 1, 0.0);
-    out.net_cap_f[static_cast<std::size_t>(net)] +=
-        w * h * wp.cap_area_f_um2 + 2.0 * (w + h) * wp.cap_fringe_f_um;
-  }
-  return out;
-}
-
-Extracted extract(const geom::Cell& top, const tech::Tech& tech) {
-  return extract(geom::LayoutDB(top), tech);
-}
-
-// --- incremental extraction --------------------------------------------------
+// --- the extraction engine ---------------------------------------------------
 //
-// Piece-id space (identical to extract()'s): diffusion split segments
-// first — every NDiff shape's segments in shape order, then every
-// PDiff shape's — then the step-2 layers' shapes verbatim, in the same
+// Pieces are the conducting rects connectivity is computed over: the
+// diffusion shapes split at their gate crossings, plus every shape of
+// the other conducting layers as-is. Piece-id space: diffusion split
+// segments first — every NDiff shape's segments in shape order, then
+// every PDiff shape's — then the step-2 layers' shapes verbatim, in
 // {Poly, M1, M2, M3, Contact, Via1, Via2} order. The caches below are
 // keyed so that after an edit the surviving pieces renumber by pure
 // prefix arithmetic: per-shape segment lists for the diffusion blocks,
@@ -272,7 +47,21 @@ Extracted extract(const geom::Cell& top, const tech::Tech& tech) {
 
 namespace {
 
-/// Step-2 piece layers, in extract()'s concatenation order.
+/// True when `poly` spans `diff` in y: a vertical gate, which splits
+/// the diffusion along x (a poly covering both ways counts as vertical).
+bool spans_y(const Rect& poly, const Rect& diff) {
+  return poly.lo.y <= diff.lo.y && poly.hi.y >= diff.hi.y;
+}
+
+/// True when `poly` fully crosses `diff` (a transistor gate).
+bool crosses(const Rect& poly, const Rect& diff) {
+  const Rect x = poly.intersection(diff);
+  if (x.empty()) return false;
+  const bool horizontal = poly.lo.x <= diff.lo.x && poly.hi.x >= diff.hi.x;
+  return spans_y(poly, diff) || horizontal;
+}
+
+/// Step-2 piece layers, in piece-id order.
 constexpr Layer kStep2[] = {Layer::Poly,    Layer::Metal1, Layer::Metal2,
                             Layer::Metal3,  Layer::Contact, Layer::Via1,
                             Layer::Via2};
@@ -284,8 +73,10 @@ int step2_slot(Layer l) {
   return -1;
 }
 
-/// Layers a piece on `l` electrically merges with (the connects()
-/// relation above, as adjacency lists for targeted index queries).
+/// Layers a piece on `l` electrically merges with, as adjacency lists
+/// for targeted index queries: same-layer shapes merge on touch, vias
+/// merge with their adjacent layers, and poly never merges with
+/// diffusion (that is a gate). The relation is symmetric.
 const std::vector<Layer>& connect_targets(Layer l) {
   static const std::vector<Layer> none;
   static const std::vector<Layer> table[] = {
@@ -323,11 +114,11 @@ struct IncrementalExtract::Impl {
   /// (renumbered through poly splices); any shape of the gate's merged
   /// poly net would do, since only its component root feeds net_of.
   struct LocalSite {
-    Rect gate_poly;
-    Rect channel;
-    std::uint32_t gate_pid;
-    std::uint32_t left;   // local segment index
-    std::uint32_t right;
+    geom::Coord w = 0;  // channel extent across the gate
+    geom::Coord l = 0;  // ... and along it
+    std::uint32_t gate_pid = 0;
+    std::uint32_t left = 0;  // local segment index
+    std::uint32_t right = 0;
   };
   /// The cached split of one diffusion shape.
   struct Entry {
@@ -341,8 +132,9 @@ struct IncrementalExtract::Impl {
     std::uint32_t total = 0;
   };
 
-  const LayoutDB* db;
-  tech::Tech tech;
+  const LayoutDB* db = nullptr;
+  double um_per_dbu = 0;
+  std::array<tech::WireParams, geom::kLayerCount> wire{};
   std::array<std::vector<Entry>, 2> entries;  // [0]=NDiff, [1]=PDiff
   std::vector<std::uint64_t> edges;           // packed (i<<32)|j, i<j
   Extracted out;
@@ -354,9 +146,13 @@ struct IncrementalExtract::Impl {
     return (static_cast<std::uint64_t>(i) << 32) | j;
   }
 
-  /// Splits one diffusion rect exactly as extract() step 1 does: the
-  /// gate rects are collected in poly-id order and sorted with the
-  /// same comparator, so segment boundaries match bit-for-bit.
+  /// Splits one diffusion rect at the poly gates that fully cross it:
+  /// the gates, collected in poly-id order, are sorted along the split
+  /// axis (x when the first gate is vertical), and the segments between
+  /// them become the rect's pieces. Gate edges are clamped into the
+  /// rect, so no piece leaves it; a gate flush with an edge, or two
+  /// abutting gates, leave a zero-width segment. Each gate is one device
+  /// site between its two segments, sized by its own orientation.
   Entry compute_entry(const Rect& diff) const {
     Entry e;
     const auto& polys = db->rects(Layer::Poly);
@@ -372,23 +168,30 @@ struct IncrementalExtract::Impl {
       e.segs.push_back(diff);
       return e;
     }
-    const bool split_x = gates[0].lo.y <= diff.lo.y;  // vertical gates
+    const bool split_x = spans_y(gates[0], diff);
     std::sort(gates.begin(), gates.end(), [&](const Rect& a, const Rect& b) {
       return split_x ? a.lo.x < b.lo.x : a.lo.y < b.lo.y;
     });
+    auto cut = [&](const geom::Point& p) {
+      return split_x ? std::clamp(p.x, diff.lo.x, diff.hi.x)
+                     : std::clamp(p.y, diff.lo.y, diff.hi.y);
+    };
     geom::Coord pos = split_x ? diff.lo.x : diff.lo.y;
     for (const Rect& g : gates) {
-      e.segs.push_back(split_x ? Rect::ltrb(pos, diff.lo.y, g.lo.x, diff.hi.y)
-                               : Rect::ltrb(diff.lo.x, pos, diff.hi.x, g.lo.y));
-      pos = split_x ? g.hi.x : g.hi.y;
+      const geom::Coord lo = cut(g.lo);
+      e.segs.push_back(split_x ? Rect::ltrb(pos, diff.lo.y, lo, diff.hi.y)
+                               : Rect::ltrb(diff.lo.x, pos, diff.hi.x, lo));
+      pos = cut(g.hi);
     }
     e.segs.push_back(split_x
                          ? Rect::ltrb(pos, diff.lo.y, diff.hi.x, diff.hi.y)
                          : Rect::ltrb(diff.lo.x, pos, diff.hi.x, diff.hi.y));
     for (std::uint32_t g = 0; g < gates.size(); ++g) {
+      const Rect channel = gates[g].intersection(diff);
+      const bool vertical = spans_y(gates[g], diff);
       LocalSite s;
-      s.gate_poly = gates[g];
-      s.channel = gates[g].intersection(diff);
+      s.w = vertical ? channel.height() : channel.width();
+      s.l = vertical ? channel.width() : channel.height();
       s.gate_pid = kNoPiece;
       for (std::size_t k = 0; k < pids.size(); ++k)
         if (polys[pids[k]] == gates[g]) {
@@ -422,9 +225,68 @@ struct IncrementalExtract::Impl {
     return b;
   }
 
-  /// extract()'s first_piece_on, answered from the per-layer LayoutDB
-  /// indexes and the cached splits instead of a global piece index:
-  /// the lowest piece id on `layer` intersecting `window`.
+  /// Calls fn(layer, rect, id) for every piece id in [lo, hi), in order.
+  template <typename Fn>
+  void for_each_piece(std::uint32_t lo, std::uint32_t hi, const Blocks& b,
+                      Fn&& fn) const {
+    std::uint32_t g = lo;
+    for (int dl_i = 0; dl_i < 2 && g < hi; ++dl_i) {
+      const auto& start = b.entry_start[dl_i];
+      if (g >= start.back()) continue;
+      // Every shape has >= 1 segment, so the prefix sums strictly rise.
+      auto s = static_cast<std::size_t>(
+          std::upper_bound(start.begin(), start.end(), g) - start.begin() - 1);
+      for (; s + 1 < start.size() && g < hi; ++s) {
+        const auto& segs = entries[dl_i][s].segs;
+        for (std::uint32_t t = g - start[s]; t < segs.size() && g < hi; ++t)
+          fn(diff_layer(dl_i), segs[t], g++);
+      }
+    }
+    for (std::size_t t = 0; t < kStep2Count && g < hi; ++t) {
+      const auto& rects = db->rects(kStep2[t]);
+      const std::uint32_t base = b.step2_start[t];
+      const auto end = std::min<std::uint32_t>(
+          hi, base + static_cast<std::uint32_t>(rects.size()));
+      for (; g < end; ++g) fn(kStep2[t], rects[g - base], g);
+    }
+  }
+
+  /// Appends to `found` the electrical adjacency edges of piece g (on
+  /// layer `from`, at `r`), queried through the per-layer indexes and,
+  /// for diffusion targets, the cached splits. is_new(layer, shape)
+  /// tells whether a neighbour's shape is among those this pass visits;
+  /// a pair of two such pieces is kept from its lower member's visit
+  /// only.
+  template <typename IsNew>
+  void discover(Layer from, const Rect& r, std::uint32_t g, const Blocks& b,
+                IsNew&& is_new, std::vector<std::uint64_t>& found) const {
+    for (Layer m : connect_targets(from)) {
+      if (m == Layer::NDiff || m == Layer::PDiff) {
+        const int mi = m == Layer::NDiff ? 0 : 1;
+        db->index(m).for_each_in(r, [&](std::uint32_t s) {
+          const auto& segs = entries[mi][s].segs;
+          const std::uint32_t base = b.entry_start[mi][s];
+          const bool both_new = is_new(m, s);
+          for (std::uint32_t t = 0; t < segs.size(); ++t) {
+            if (!segs[t].intersects(r)) continue;
+            const std::uint32_t h = base + t;
+            if (h == g || (both_new && h < g)) continue;
+            found.push_back(pack(std::min(g, h), std::max(g, h)));
+          }
+        });
+      } else {
+        const int slot = step2_slot(m);
+        db->index(m).for_each_in(r, [&](std::uint32_t s) {
+          const std::uint32_t h = b.step2_start[slot] + s;
+          if (h == g || (is_new(m, s) && h < g)) return;
+          found.push_back(pack(std::min(g, h), std::max(g, h)));
+        });
+      }
+    }
+  }
+
+  /// The lowest piece id on `layer` intersecting `window`, answered
+  /// from the per-layer LayoutDB indexes and the cached splits.
   std::uint32_t first_piece(Layer layer, const Rect& window,
                             const Blocks& b) const {
     std::uint32_t found = kNoPiece;
@@ -449,35 +311,19 @@ struct IncrementalExtract::Impl {
     return found;
   }
 
-  /// Steps 4-7 of extract(), re-run over the cached pieces: net ids are
-  /// minted in global visit order, so every edit renumbers them and the
-  /// numbering passes must be linear re-passes. Bit-identical to
-  /// extract() by visiting in the same order (devices, then ports, then
-  /// capacitance in piece order).
-  void rebuild_result(const Blocks& b) {
-    std::vector<std::uint32_t> parent(b.total);
-    for (std::uint32_t i = 0; i < b.total; ++i) parent[i] = i;
-    auto find = [&](std::uint32_t x) {
-      while (parent[x] != x) {
-        parent[x] = parent[parent[x]];
-        x = parent[x];
-      }
-      return x;
-    };
-    for (std::uint64_t e : edges) {
-      const auto a = find(static_cast<std::uint32_t>(e >> 32));
-      const auto bb = find(static_cast<std::uint32_t>(e));
-      if (a != bb) parent[a] = bb;
-    }
-
-    out = Extracted{};
-    std::vector<int> root_net(b.total, -1);
-    auto net_of = [&](std::uint32_t piece) {
-      const std::uint32_t root = find(piece);
-      if (root_net[root] < 0) root_net[root] = out.net_count++;
-      return root_net[root];
-    };
-
+  /// Lays out out.devices, one per site in shape then site order.
+  /// old_first(dl_i, k) is the index in `old` of the first device of a
+  /// carried entry k, or kFresh for an entry (re)built by this pass,
+  /// whose devices are minted here. Carried devices are moved, strings
+  /// and all: only their net ids change, and number_nets() sets those.
+  static constexpr std::size_t kFresh = ~std::size_t{0};
+  template <typename OldFirst>
+  void lay_out_devices(std::vector<Device>& old, OldFirst&& old_first) {
+    std::size_t count = 0;
+    for (int dl_i = 0; dl_i < 2; ++dl_i)
+      for (const Entry& e : entries[dl_i]) count += e.sites.size();
+    std::vector<Device> devs;
+    devs.reserve(count);
     // Memoized provenance strings: devices repeat a small set of paths.
     std::vector<std::string> path_memo(db->path_count());
     std::vector<char> path_done(db->path_count(), 0);
@@ -488,32 +334,60 @@ struct IncrementalExtract::Impl {
       }
       return path_memo[node];
     };
-
-    const double um_per_dbu = tech.lambda_um / 10.0;
-    const std::uint32_t poly_start = b.step2_start[0];
     for (int dl_i = 0; dl_i < 2; ++dl_i) {
-      const Layer dl = diff_layer(dl_i);
-      const auto& shapes = db->shapes(dl);
-      for (std::size_t s = 0; s < entries[dl_i].size(); ++s) {
-        const std::uint32_t base = b.entry_start[dl_i][s];
-        for (const LocalSite& site : entries[dl_i][s].sites) {
+      const auto& shapes = db->shapes(diff_layer(dl_i));
+      for (std::size_t k = 0; k < entries[dl_i].size(); ++k) {
+        const auto& sites = entries[dl_i][k].sites;
+        const std::size_t from = old_first(dl_i, k);
+        if (from != kFresh) {
+          for (std::size_t i = 0; i < sites.size(); ++i)
+            devs.push_back(std::move(old[from + i]));
+          continue;
+        }
+        for (const LocalSite& site : sites) {
           Device d;
           d.type = dl_i == 1 ? spice::MosType::Pmos : spice::MosType::Nmos;
-          d.gate = net_of(poly_start + site.gate_pid);
-          d.source = net_of(base + site.left);
-          d.drain = net_of(base + site.right);
-          const bool split_x = site.gate_poly.lo.y <= site.channel.lo.y;
-          const geom::Coord w =
-              split_x ? site.channel.height() : site.channel.width();
-          const geom::Coord l =
-              split_x ? site.channel.width() : site.channel.height();
-          d.w_um = static_cast<double>(w) * um_per_dbu;
-          d.l_um = static_cast<double>(l) * um_per_dbu;
-          d.path = path_of(shapes[s].path);
-          out.devices.push_back(d);
+          d.w_um = static_cast<double>(site.w) * um_per_dbu;
+          d.l_um = static_cast<double>(site.l) * um_per_dbu;
+          d.path = path_of(shapes[k].path);
+          devs.push_back(std::move(d));
         }
       }
     }
+    out.devices = std::move(devs);
+  }
+
+  /// Unites the edges and numbers the nets. Net ids are minted in
+  /// visit order — devices, then ports, then capacitance in piece
+  /// order — so they depend only on the connectivity partition, never
+  /// on edge order; every edit renumbers them, so this is a linear
+  /// re-pass over all pieces.
+  void number_nets(const Blocks& b) {
+    // Every piece points straight at its component's lowest piece.
+    const std::vector<std::uint32_t> parent =
+        component_labels(b.total, edges);
+
+    out.net_count = 0;
+    out.port_net.clear();
+    std::vector<int> root_net(b.total, -1);
+    auto net_of = [&](std::uint32_t piece) {
+      int& net = root_net[parent[piece]];
+      if (net < 0) net = out.net_count++;
+      return net;
+    };
+
+    const std::uint32_t poly_start = b.step2_start[0];
+    std::size_t di = 0;
+    for (int dl_i = 0; dl_i < 2; ++dl_i)
+      for (std::size_t s = 0; s < entries[dl_i].size(); ++s) {
+        const std::uint32_t base = b.entry_start[dl_i][s];
+        for (const LocalSite& site : entries[dl_i][s].sites) {
+          Device& d = out.devices[di++];
+          d.gate = net_of(poly_start + site.gate_pid);
+          d.source = net_of(base + site.left);
+          d.drain = net_of(base + site.right);
+        }
+      }
 
     for (const auto& port : db->ports()) {
       const std::uint32_t i = first_piece(port.layer, port.rect, b);
@@ -522,68 +396,82 @@ struct IncrementalExtract::Impl {
       out.port_net[port.name] = net_of(i);
     }
 
+    // Capacitance, folded per net in piece order. Vias and layers
+    // without parasitics carry none (and mint no net), so whole blocks
+    // are skipped.
     out.net_cap_f.assign(static_cast<std::size_t>(out.net_count), 0.0);
-    auto add_cap = [&](std::uint32_t i, Layer layer, const Rect& r) {
-      if (geom::is_via(layer)) return;
-      const auto& wp = tech.elec.wire[static_cast<std::size_t>(layer)];
-      if (wp.cap_area_f_um2 == 0.0 && wp.cap_fringe_f_um == 0.0) return;
+    auto add_cap = [&](Layer layer, const Rect& r, std::uint32_t i) {
+      const auto& wp = wire[static_cast<std::size_t>(layer)];
       const double w = static_cast<double>(r.width()) * um_per_dbu;
       const double h = static_cast<double>(r.height()) * um_per_dbu;
-      const int net = net_of(i);
-      if (static_cast<std::size_t>(net) >= out.net_cap_f.size())
-        out.net_cap_f.resize(static_cast<std::size_t>(net) + 1, 0.0);
-      out.net_cap_f[static_cast<std::size_t>(net)] +=
+      const auto net = static_cast<std::size_t>(net_of(i));
+      // net_of may mint a net here for a component no device or port
+      // reached (isolated fill); grow the table rather than write past it.
+      if (net >= out.net_cap_f.size()) out.net_cap_f.resize(net + 1, 0.0);
+      out.net_cap_f[net] +=
           w * h * wp.cap_area_f_um2 + 2.0 * (w + h) * wp.cap_fringe_f_um;
     };
-    std::uint32_t gid = 0;
-    for (int dl_i = 0; dl_i < 2; ++dl_i)
-      for (const Entry& e : entries[dl_i])
-        for (const Rect& seg : e.segs) add_cap(gid++, diff_layer(dl_i), seg);
-    for (std::size_t t = 0; t < kStep2Count; ++t)
-      for (const Rect& r : db->rects(kStep2[t])) add_cap(gid++, kStep2[t], r);
+    auto has_cap = [&](Layer layer) {
+      const auto& wp = wire[static_cast<std::size_t>(layer)];
+      return !geom::is_via(layer) &&
+             (wp.cap_area_f_um2 != 0.0 || wp.cap_fringe_f_um != 0.0);
+    };
+    for (int dl_i = 0; dl_i < 2; ++dl_i) {
+      const Layer dl = diff_layer(dl_i);
+      if (!has_cap(dl)) continue;
+      for (std::size_t s = 0; s < entries[dl_i].size(); ++s) {
+        const auto& segs = entries[dl_i][s].segs;
+        const std::uint32_t base = b.entry_start[dl_i][s];
+        for (std::uint32_t t = 0; t < segs.size(); ++t)
+          add_cap(dl, segs[t], base + t);
+      }
+    }
+    for (std::size_t t = 0; t < kStep2Count; ++t) {
+      if (!has_cap(kStep2[t])) continue;
+      const auto& rects = db->rects(kStep2[t]);
+      for (std::uint32_t s = 0; s < rects.size(); ++s)
+        add_cap(kStep2[t], rects[s], b.step2_start[t] + s);
+    }
   }
 
+  /// The cold build: every diffusion shape is split and every piece's
+  /// edges are discovered, both on the campaign pool. Each chunk of
+  /// pieces fills its own edge list and the lists are joined in chunk
+  /// order, so the edge list — and with it the whole result — is the
+  /// same at any thread count. Every piece is new, so discover's
+  /// both-new dedup keeps each unordered pair exactly once.
   void init() {
     for (int dl_i = 0; dl_i < 2; ++dl_i) {
       const auto& rects = db->rects(diff_layer(dl_i));
-      entries[dl_i].reserve(rects.size());
-      for (const Rect& r : rects) entries[dl_i].push_back(compute_entry(r));
+      auto& es = entries[dl_i];
+      es.resize(rects.size());
+      parallel_for(static_cast<std::int64_t>(rects.size()), kBuildChunk,
+                   [&](std::int64_t s) { es[s] = compute_entry(rects[s]); });
     }
     const Blocks b = blocks();
 
-    // One transient global piece index, queried exactly like extract()
-    // step 3; the surviving edge list is what update() splices.
-    std::vector<Rect> piece_rects;
-    std::vector<std::uint8_t> piece_layer;
-    piece_rects.reserve(b.total);
-    piece_layer.reserve(b.total);
-    for (int dl_i = 0; dl_i < 2; ++dl_i)
-      for (const Entry& e : entries[dl_i])
-        for (const Rect& seg : e.segs) {
-          piece_rects.push_back(seg);
-          piece_layer.push_back(static_cast<std::uint8_t>(diff_layer(dl_i)));
-        }
-    for (std::size_t t = 0; t < kStep2Count; ++t)
-      for (const Rect& r : db->rects(kStep2[t])) {
-        piece_rects.push_back(r);
-        piece_layer.push_back(static_cast<std::uint8_t>(kStep2[t]));
-      }
-    const TileIndex piece_index(piece_rects, db->tile_size());
-    auto connects = [](Layer a, Layer bb) {
-      if (a == bb)
-        return a != Layer::Contact && a != Layer::Via1 && a != Layer::Via2;
-      for (Layer m : connect_targets(a))
-        if (m == bb) return true;
-      return false;
-    };
-    for (std::uint32_t i = 0; i < b.total; ++i)
-      piece_index.for_each_in(piece_rects[i], [&](std::uint32_t j) {
-        if (j <= i) return;
-        if (connects(static_cast<Layer>(piece_layer[i]),
-                     static_cast<Layer>(piece_layer[j])))
-          edges.push_back(pack(i, j));
+    const std::int64_t chunks = (b.total + kBuildChunk - 1) / kBuildChunk;
+    std::vector<std::vector<std::uint64_t>> found(
+        static_cast<std::size_t>(chunks));
+    parallel_for(chunks, 1, [&](std::int64_t c) {
+      const auto lo = static_cast<std::uint32_t>(c * kBuildChunk);
+      const auto hi = static_cast<std::uint32_t>(
+          std::min<std::int64_t>(b.total, (c + 1) * kBuildChunk));
+      auto& mine = found[static_cast<std::size_t>(c)];
+      for_each_piece(lo, hi, b, [&](Layer l, const Rect& r, std::uint32_t g) {
+        discover(l, r, g, b, [](Layer, std::uint32_t) { return true; }, mine);
       });
-    rebuild_result(b);
+    });
+    std::size_t total_edges = 0;
+    for (const auto& f : found) total_edges += f.size();
+    edges.reserve(total_edges);
+    for (auto& f : found) {
+      edges.insert(edges.end(), f.begin(), f.end());
+      std::vector<std::uint64_t>().swap(f);
+    }
+    std::vector<Device> none;
+    lay_out_devices(none, [](int, std::size_t) { return kFresh; });
+    number_nets(b);
   }
 
   void update(const geom::EditResult& edit) {
@@ -597,12 +485,19 @@ struct IncrementalExtract::Impl {
     const auto& sp_poly = edit.splice_of(Layer::Poly);
     const auto poly_dirty = edit.dirty_rects(Layer::Poly);
 
-    // Capture the pre-edit piece layout before touching the caches.
+    // Capture the pre-edit piece and device layout before touching the
+    // caches.
     std::array<std::vector<std::uint32_t>, 2> old_lens;
+    std::array<std::vector<std::size_t>, 2> old_dev_first;
+    std::size_t dev_acc = 0;
     for (int dl_i = 0; dl_i < 2; ++dl_i) {
       old_lens[dl_i].reserve(entries[dl_i].size());
-      for (const Entry& e : entries[dl_i])
+      old_dev_first[dl_i].reserve(entries[dl_i].size());
+      for (const Entry& e : entries[dl_i]) {
         old_lens[dl_i].push_back(static_cast<std::uint32_t>(e.segs.size()));
+        old_dev_first[dl_i].push_back(dev_acc);
+        dev_acc += e.sites.size();
+      }
     }
     std::array<std::uint32_t, kStep2Count> old_step2_count;
     for (std::size_t t = 0; t < kStep2Count; ++t)
@@ -620,15 +515,13 @@ struct IncrementalExtract::Impl {
       const Layer dl = diff_layer(dl_i);
       const auto& sp = edit.splice_of(dl);
       const auto& rects = db->rects(dl);
-      std::vector<Entry> inserted;
-      inserted.reserve(sp.new_end - sp.begin);
-      for (std::uint32_t k = sp.begin; k < sp.new_end; ++k)
-        inserted.push_back(compute_entry(rects[k]));
       auto& es = entries[dl_i];
-      es.erase(es.begin() + sp.begin, es.begin() + sp.old_end);
-      es.insert(es.begin() + sp.begin,
-                std::make_move_iterator(inserted.begin()),
-                std::make_move_iterator(inserted.end()));
+      if (sp.new_end < sp.old_end)
+        es.erase(es.begin() + sp.new_end, es.begin() + sp.old_end);
+      else
+        es.insert(es.begin() + sp.old_end, sp.new_end - sp.old_end, Entry{});
+      for (std::uint32_t k = sp.begin; k < sp.new_end; ++k)
+        es[k] = compute_entry(rects[k]);
 
       fresh[dl_i].assign(es.size(), 0);
       for (std::uint32_t k = sp.begin; k < sp.new_end; ++k)
@@ -692,72 +585,72 @@ struct IncrementalExtract::Impl {
       }
     }
 
-    // New pieces, for edge discovery and its both-new dedup.
-    std::vector<char> is_new(nb.total, 0);
-    for (int dl_i = 0; dl_i < 2; ++dl_i)
-      for (std::size_t k = 0; k < entries[dl_i].size(); ++k)
-        if (fresh[dl_i][k])
-          for (std::uint32_t t = 0; t < entries[dl_i][k].segs.size(); ++t)
-            is_new[nb.entry_start[dl_i][k] + t] = 1;
-    for (std::size_t t = 0; t < kStep2Count; ++t) {
-      const auto& sp = edit.splice_of(kStep2[t]);
-      for (std::uint32_t s = sp.begin; s < sp.new_end; ++s)
-        is_new[nb.step2_start[t] + s] = 1;
-    }
-
-    // Splice the surviving edges, then discover the new pieces' edges
-    // through the per-layer indexes (and the cached splits, for
-    // diffusion targets). A pair of two new pieces is kept from its
-    // lower member's visit only.
-    std::vector<std::uint64_t> kept;
-    kept.reserve(edges.size());
-    for (std::uint64_t e : edges) {
-      const std::uint32_t a = pmap[static_cast<std::uint32_t>(e >> 32)];
-      const std::uint32_t b2 = pmap[static_cast<std::uint32_t>(e)];
-      if (a == kNoPiece || b2 == kNoPiece) continue;
-      kept.push_back(pack(a, b2));
-    }
-    edges = std::move(kept);
-    auto discover = [&](Layer from, const Rect& r, std::uint32_t g) {
-      for (Layer m : connect_targets(from)) {
-        if (m == Layer::NDiff || m == Layer::PDiff) {
-          const int mi = m == Layer::NDiff ? 0 : 1;
-          db->index(m).for_each_in(r, [&](std::uint32_t s) {
-            const auto& segs = entries[mi][s].segs;
-            const std::uint32_t base = nb.entry_start[mi][s];
-            for (std::uint32_t t = 0; t < segs.size(); ++t) {
-              if (!segs[t].intersects(r)) continue;
-              const std::uint32_t h = base + t;
-              if (h == g || (is_new[h] && h < g)) continue;
-              edges.push_back(pack(std::min(g, h), std::max(g, h)));
-            }
-          });
-        } else {
-          const int slot = step2_slot(m);
-          db->index(m).for_each_in(r, [&](std::uint32_t s) {
-            const std::uint32_t h = nb.step2_start[slot] + s;
-            if (h == g || (is_new[h] && h < g)) return;
-            edges.push_back(pack(std::min(g, h), std::max(g, h)));
-          });
-        }
-      }
+    // Discover the edges of the new pieces: those of fresh entries and
+    // of the step-2 splice ranges.
+    auto is_new = [&](Layer m, std::uint32_t s) {
+      if (m == Layer::NDiff || m == Layer::PDiff)
+        return fresh[m == Layer::NDiff ? 0 : 1][s] != 0;
+      const auto& sp = edit.splice_of(m);
+      return s >= sp.begin && s < sp.new_end;
     };
+    std::vector<std::uint64_t> found;
     for (int dl_i = 0; dl_i < 2; ++dl_i)
       for (std::size_t k = 0; k < entries[dl_i].size(); ++k) {
         if (!fresh[dl_i][k]) continue;
         const auto& segs = entries[dl_i][k].segs;
         for (std::uint32_t t = 0; t < segs.size(); ++t)
-          discover(diff_layer(dl_i), segs[t],
-                   nb.entry_start[dl_i][k] + t);
+          discover(diff_layer(dl_i), segs[t], nb.entry_start[dl_i][k] + t, nb,
+                   is_new, found);
       }
     for (std::size_t t = 0; t < kStep2Count; ++t) {
       const auto& sp = edit.splice_of(kStep2[t]);
       const auto& rects = db->rects(kStep2[t]);
       for (std::uint32_t s = sp.begin; s < sp.new_end; ++s)
-        discover(kStep2[t], rects[s], nb.step2_start[t] + s);
+        discover(kStep2[t], rects[s], nb.step2_start[t] + s, nb, is_new,
+                 found);
     }
 
-    rebuild_result(nb);
+    // Carry the surviving edges through pmap: each chunk compacts its
+    // own range in place on the pool, then the kept runs are closed up
+    // in chunk order and the new edges appended.
+    const auto nedges = static_cast<std::int64_t>(edges.size());
+    const std::int64_t chunks = (nedges + kBuildChunk - 1) / kBuildChunk;
+    std::vector<std::int64_t> kept(static_cast<std::size_t>(chunks));
+    parallel_for(chunks, 1, [&](std::int64_t c) {
+      const std::int64_t lo = c * kBuildChunk;
+      const std::int64_t hi = std::min(nedges, lo + kBuildChunk);
+      std::int64_t w = lo;
+      for (std::int64_t r = lo; r < hi; ++r) {
+        const std::uint64_t e = edges[static_cast<std::size_t>(r)];
+        const std::uint32_t a = pmap[static_cast<std::uint32_t>(e >> 32)];
+        const std::uint32_t b2 = pmap[static_cast<std::uint32_t>(e)];
+        if (a != kNoPiece && b2 != kNoPiece)
+          edges[static_cast<std::size_t>(w++)] = pack(a, b2);
+      }
+      kept[static_cast<std::size_t>(c)] = w - lo;
+    });
+    auto w = edges.begin();
+    for (std::int64_t c = 0; c < chunks; ++c) {
+      const auto from = edges.begin() + c * kBuildChunk;
+      w = from == w ? w + kept[static_cast<std::size_t>(c)]
+                    : std::copy(from, from + kept[static_cast<std::size_t>(c)],
+                                w);
+    }
+    edges.erase(w, edges.end());
+    edges.insert(edges.end(), found.begin(), found.end());
+
+    // Carried entries keep their devices; a carried shape's old index is
+    // itself before the splice and shifted by the splice delta after it.
+    lay_out_devices(out.devices, [&](int dl_i, std::size_t k) {
+      if (fresh[dl_i][k]) return kFresh;
+      const auto& sp = edit.splice_of(diff_layer(dl_i));
+      const std::size_t o =
+          k < sp.begin ? k
+                       : static_cast<std::size_t>(
+                             static_cast<std::int64_t>(k) - sp.delta());
+      return old_dev_first[dl_i][o];
+    });
+    number_nets(nb);
   }
 };
 
@@ -765,7 +658,8 @@ IncrementalExtract::IncrementalExtract(const geom::LayoutDB& db,
                                        const tech::Tech& tech)
     : impl_(std::make_unique<Impl>()) {
   impl_->db = &db;
-  impl_->tech = tech;
+  impl_->um_per_dbu = tech.lambda_um / 10.0;
+  impl_->wire = tech.elec.wire;
   impl_->init();
 }
 
@@ -776,5 +670,14 @@ void IncrementalExtract::update(const geom::EditResult& edit) {
 }
 
 const Extracted& IncrementalExtract::result() const { return impl_->out; }
+
+Extracted extract(const geom::LayoutDB& db, const tech::Tech& tech) {
+  IncrementalExtract engine(db, tech);
+  return std::move(engine.impl_->out);
+}
+
+Extracted extract(const geom::Cell& top, const tech::Tech& tech) {
+  return extract(geom::LayoutDB(top), tech);
+}
 
 }  // namespace bisram::extract

@@ -8,6 +8,7 @@
 // capacitance from the technology's parasitic data, and maps cell ports
 // to nets so tests can verify the topology of generated cells.
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -48,21 +49,27 @@ struct Extracted {
   bool channel_between(int a, int b) const;
 };
 
+/// Pieces (and diffusion shapes) per work unit of the parallel build.
+/// A layout with fewer — every leaf cell — is extracted inline, without
+/// touching the campaign pool.
+inline constexpr std::int64_t kBuildChunk = 1 << 14;
+
 /// Extracts a prebuilt layout database (the signoff path: one LayoutDB
-/// shared with DRC and the writers). Ports come from db.ports().
-/// Device recognition and connectivity use the database's tile indexes;
-/// net numbering is bit-identical to the historical flatten-and-scan
-/// extractor by construction (see the per-step notes in extract.cpp).
+/// shared with DRC and the writers). Ports come from db.ports(). This is
+/// IncrementalExtract's cold build, result moved out: the diffusion
+/// split and the edge discovery run on the campaign pool
+/// (util/parallel.hpp), and the netlist is bit-identical at any
+/// BISRAM_THREADS value.
 Extracted extract(const geom::LayoutDB& db, const tech::Tech& tech);
 
 /// Convenience: flattens `top` into a LayoutDB and extracts it.
 Extracted extract(const geom::Cell& top, const tech::Tech& tech);
 
-/// Incremental extraction over an edited LayoutDB. Construct it once
-/// (a full extraction that additionally caches the expensive geometric
-/// intermediates), then after every LayoutDB::apply feed the returned
-/// EditResult to update(); result() is bit-identical to
-/// extract::extract(db, tech) on the database's current contents.
+/// The extraction engine, kept alive across edits of a LayoutDB.
+/// Construction is the cold build extract() runs; after every
+/// LayoutDB::apply feed the returned EditResult to update(), and
+/// result() equals extract::extract(db, tech) on the database's current
+/// contents.
 ///
 /// What is cached and what is recomputed: the diffusion split (gate
 /// recognition + segment pieces + device sites) is kept per diffusion
@@ -70,11 +77,13 @@ Extracted extract(const geom::Cell& top, const tech::Tech& tech);
 /// rect intersects the edit's dirty poly region; the electrical
 /// adjacency edges are kept globally and spliced across the piece-id
 /// renumbering, with fresh edges discovered only around inserted
-/// pieces via the database's per-layer tile indexes. Net numbering,
-/// devices, ports and capacitance are then linear re-passes over the
-/// cached pieces — they must be, because net ids are minted in global
-/// visit order and an edit shifts them globally — which is still far
-/// cheaper than the quadratic-ish window queries they replace.
+/// pieces via the database's per-layer tile indexes (the carried
+/// edges are remapped in chunks on the campaign pool). Devices of
+/// carried shapes are moved, not rebuilt. Net numbering, ports and
+/// capacitance are linear re-passes over the cached pieces — they must
+/// be, because net ids are minted in global visit order and an edit
+/// shifts them globally — which is still far cheaper than the window
+/// queries they replace.
 ///
 /// The database must outlive the extractor, and every apply() on it
 /// must be fed to update() (once, in order). Deterministic and
@@ -94,6 +103,7 @@ class IncrementalExtract {
   const Extracted& result() const;
 
  private:
+  friend Extracted extract(const geom::LayoutDB& db, const tech::Tech& tech);
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };

@@ -98,6 +98,38 @@ std::vector<std::uint32_t> TileIndex::ids_in(const Rect& window) const {
   return out;
 }
 
+void TileIndex::splice(std::uint32_t begin, std::uint32_t old_end,
+                       std::uint32_t new_end, const Rect& removed) {
+  const std::int64_t delta = static_cast<std::int64_t>(new_end) - old_end;
+  auto drop = [&](std::vector<std::uint32_t>& b) {
+    const auto lo = std::lower_bound(b.begin(), b.end(), begin);
+    const auto hi = std::lower_bound(lo, b.end(), old_end);
+    for (auto it = hi; delta != 0 && it != b.end(); ++it)
+      *it = static_cast<std::uint32_t>(*it + delta);
+    b.erase(lo, hi);
+  };
+  if (delta != 0) {
+    for (auto& b : buckets_) drop(b);
+  } else if (begin != old_end) {
+    for (int ty = ty_of(removed.lo.y); ty <= ty_of(removed.hi.y); ++ty)
+      for (int tx = tx_of(removed.lo.x); tx <= tx_of(removed.hi.x); ++tx)
+        drop(buckets_[static_cast<std::size_t>(ty) *
+                          static_cast<std::size_t>(cols_) +
+                      static_cast<std::size_t>(tx)]);
+  }
+  count_ = rects_->size();
+  for (std::uint32_t k = begin; k < new_end; ++k) {
+    const Rect& r = (*rects_)[k];
+    for (int ty = ty_of(r.lo.y); ty <= ty_of(r.hi.y); ++ty)
+      for (int tx = tx_of(r.lo.x); tx <= tx_of(r.hi.x); ++tx) {
+        auto& b = buckets_[static_cast<std::size_t>(ty) *
+                               static_cast<std::size_t>(cols_) +
+                           static_cast<std::size_t>(tx)];
+        b.insert(std::lower_bound(b.begin(), b.end(), k), k);
+      }
+  }
+}
+
 // --- EditResult --------------------------------------------------------------
 
 std::vector<Rect> EditResult::dirty_rects(Layer l) const {
@@ -186,6 +218,45 @@ void LayoutDB::reindex_layer(std::size_t l) {
   rv.reserve(shapes_[l].size());
   for (const DbShape& s : shapes_[l]) rv.push_back(s.rect);
   index_[l] = TileIndex(rv, tile_);
+}
+
+void LayoutDB::splice_layer(std::size_t l, std::uint32_t lo,
+                            std::uint32_t old_hi, std::uint32_t new_hi) {
+  auto& rv = rects_[l];
+  const auto& sv = shapes_[l];
+  TileIndex& ix = index_[l];
+  // The tile grid is a function of the layer's bounds. They provably
+  // stay put when every replaced rect lay strictly inside them (its
+  // removal shrinks nothing) and every new rect lies within them;
+  // otherwise rebuild. Folded by hand, as TileIndex does, so degenerate
+  // rects count.
+  const Rect b = ix.bounds();
+  bool keep = !ix.empty();
+  Rect removed = lo < old_hi ? rv[lo] : Rect{};
+  for (std::uint32_t i = lo; keep && i < old_hi; ++i) {
+    const Rect& r = rv[i];
+    keep = r.lo.x > b.lo.x && r.lo.y > b.lo.y && r.hi.x < b.hi.x &&
+           r.hi.y < b.hi.y;
+    removed.lo.x = std::min(removed.lo.x, r.lo.x);
+    removed.lo.y = std::min(removed.lo.y, r.lo.y);
+    removed.hi.x = std::max(removed.hi.x, r.hi.x);
+    removed.hi.y = std::max(removed.hi.y, r.hi.y);
+  }
+  for (std::uint32_t i = lo; keep && i < new_hi; ++i) {
+    const Rect& r = sv[i].rect;
+    keep = r.lo.x >= b.lo.x && r.lo.y >= b.lo.y && r.hi.x <= b.hi.x &&
+           r.hi.y <= b.hi.y;
+  }
+  if (!keep) {
+    reindex_layer(l);
+    return;
+  }
+  if (new_hi < old_hi)
+    rv.erase(rv.begin() + new_hi, rv.begin() + old_hi);
+  else
+    rv.insert(rv.begin() + old_hi, new_hi - old_hi, Rect{});
+  for (std::uint32_t i = lo; i < new_hi; ++i) rv[i] = sv[i].rect;
+  ix.splice(lo, old_hi, new_hi, removed);
 }
 
 void LayoutDB::rebuild_bbox() {
@@ -352,7 +423,9 @@ EditResult LayoutDB::apply(const CellEdit& e) {
       }
       res.old_bbox[l] = ob;
       res.new_bbox[l] = nb;
-      reindex_layer(l);
+      splice_layer(l, static_cast<std::uint32_t>(lo),
+                   static_cast<std::uint32_t>(hi),
+                   static_cast<std::uint32_t>(hi));
     }
     rebuild_bbox();
     return res;
@@ -482,7 +555,8 @@ EditResult LayoutDB::apply(const CellEdit& e) {
       sv.insert(sv.begin() + static_cast<std::ptrdiff_t>(lo),
                 std::make_move_iterator(ins.begin()),
                 std::make_move_iterator(ins.end()));
-      reindex_layer(l);
+      splice_layer(l, res.splice[l].begin, res.splice[l].old_end,
+                   res.splice[l].new_end);
     }
   }
 

@@ -116,6 +116,16 @@ class TileIndex {
   /// Collects the ids for_each_in would visit.
   std::vector<std::uint32_t> ids_in(const Rect& window) const;
 
+  /// Re-indexes after the rect vector was spliced in place: ids
+  /// [begin, old_end) were replaced by [begin, new_end) and later ids
+  /// shifted by new_end - old_end; `removed` covers the replaced rects'
+  /// old positions. Only touched buckets are edited (all of them, to
+  /// shift ids, when the count changed). The caller guarantees the
+  /// set's bounds — hence the tile grid — are unchanged, so the buckets
+  /// equal a fresh build's.
+  void splice(std::uint32_t begin, std::uint32_t old_end,
+              std::uint32_t new_end, const Rect& removed);
+
  private:
   int tx_of(Coord x) const;
   int ty_of(Coord y) const;
@@ -297,8 +307,8 @@ class LayoutDB {
   /// Applies one edit in place: re-flattens only the edited subtree and
   /// splices it into the per-layer shape vectors, renumbering path
   /// nodes and shape ids exactly as a fresh flatten of the edited
-  /// hierarchy would. Only indexes of layers inside the dirty region
-  /// are rebuilt. Throws bisram::Error for an unknown path, an edit
+  /// hierarchy would. Only layers the edit touched are re-indexed,
+  /// bucket by bucket when their bounds stay put. Throws bisram::Error for an unknown path, an edit
   /// addressing the top cell itself, or an Add whose name/cell is
   /// missing. The returned EditResult drives drc::IncrementalDrc and
   /// extract::IncrementalExtract.
@@ -329,8 +339,13 @@ class LayoutDB {
 
   void flatten_cell(const Cell& cell, const Transform& t, std::uint32_t path,
                     int depth);
-  /// Rebuilds rects_[l] + index_[l] from shapes_[l] and refreshes bbox_.
+  /// Rebuilds rects_[l] + index_[l] from shapes_[l].
   void reindex_layer(std::size_t l);
+  /// Brings rects_[l] + index_[l] up to date after shapes_[l] ids
+  /// [lo, old_hi) were replaced by [lo, new_hi): the index is spliced in
+  /// place when the layer's bounds provably stay put, else rebuilt.
+  void splice_layer(std::size_t l, std::uint32_t lo, std::uint32_t old_hi,
+                    std::uint32_t new_hi);
   void rebuild_bbox();
   /// Recomputes path_sub_end_ from path_parent_ (preorder invariant).
   void rebuild_sub_ends();

@@ -4,14 +4,16 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 
 #include "util/checkpoint.hpp"
 #include "util/diag.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/strings.hpp"
 
 namespace bisram::geom {
@@ -85,9 +87,10 @@ class Decoder {
  public:
   Decoder(const std::string& buf, std::size_t begin, std::size_t end,
           DiagEngine& diag)
-      : buf_(buf), pos_(begin), end_(end), diag_(diag) {}
+      : buf_(buf), data_(buf.data()), pos_(begin), end_(end), diag_(diag) {}
 
   bool failed() const { return failed_; }
+  std::size_t pos() const { return pos_; }
   std::size_t remaining() const { return end_ - pos_; }
 
   bool fail(const char* code, std::string message) {
@@ -98,20 +101,33 @@ class Decoder {
 
   bool u(std::uint64_t* v) {
     if (failed_) return false;
+    // At most ten bytes; the bounds check is hoisted out of the loop.
+    const std::size_t avail = std::min<std::size_t>(end_ - pos_, 10);
+    const auto* p = reinterpret_cast<const unsigned char*>(data_ + pos_);
     std::uint64_t out = 0;
-    for (int shift = 0; shift < 70; shift += 7) {
-      if (pos_ >= end_)
-        return fail("snapshot-truncated", "varint runs past the payload end");
-      const auto byte = static_cast<unsigned char>(buf_[pos_++]);
-      if (shift == 63 && (byte & 0xfe))
+    for (std::size_t i = 0; i < avail; ++i) {
+      if (i == 9 && (p[i] & 0xfe))
         return fail("snapshot-bad-value", "varint wider than 64 bits");
-      out |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-      if (!(byte & 0x80)) {
+      out |= static_cast<std::uint64_t>(p[i] & 0x7f) << (7 * i);
+      if (!(p[i] & 0x80)) {
+        pos_ += i + 1;
         *v = out;
         return true;
       }
     }
-    return fail("snapshot-bad-value", "varint wider than 64 bits");
+    return avail < 10
+               ? fail("snapshot-truncated", "varint runs past the payload end")
+               : fail("snapshot-bad-value", "varint wider than 64 bits");
+  }
+
+  /// Skips `n` varints by counting their terminator bytes.
+  bool skip(std::uint64_t n) {
+    if (failed_) return false;
+    for (; n > 0 && pos_ < end_; ++pos_)
+      n -= (static_cast<unsigned char>(data_[pos_]) & 0x80) == 0;
+    if (n > 0)
+      return fail("snapshot-truncated", "shape data runs past the payload end");
+    return true;
   }
 
   bool z(std::int64_t* v) {
@@ -143,6 +159,7 @@ class Decoder {
 
  private:
   const std::string& buf_;
+  const char* data_;
   std::size_t pos_;
   std::size_t end_;
   DiagEngine& diag_;
@@ -193,9 +210,43 @@ class SnapshotCodec {
     return p;
   }
 
+  /// Decodes one layer's `count` shapes into `sv`.
+  static bool decode_layer(Decoder& d, Layer layer, std::uint64_t count,
+                           std::uint64_t nnodes, std::vector<DbShape>& sv) {
+    sv.resize(static_cast<std::size_t>(count));
+    Point prev{};
+    std::uint64_t prev_path = 0;
+    for (DbShape& s : sv) {
+      std::int64_t dx = 0, dy = 0, w = 0, h = 0;
+      std::uint64_t dpath = 0;
+      if (!d.z(&dx) || !d.z(&dy) || !d.z(&w) || !d.z(&h) || !d.u(&dpath))
+        return false;
+      if (w < 0 || h < 0)
+        return d.fail("snapshot-bad-value",
+                      strfmt("%s shape has negative size %lld x %lld",
+                             std::string(layer_name(layer)).c_str(),
+                             static_cast<long long>(w),
+                             static_cast<long long>(h)));
+      prev = Point{prev.x + dx, prev.y + dy};
+      prev_path += dpath;
+      if (prev_path >= nnodes)
+        return d.fail("snapshot-bad-value",
+                      strfmt("%s shape path id %llu out of range",
+                             std::string(layer_name(layer)).c_str(),
+                             static_cast<unsigned long long>(prev_path)));
+      s.rect = Rect{prev, {prev.x + w, prev.y + h}};
+      s.path = static_cast<std::uint32_t>(prev_path);
+    }
+    return true;
+  }
+
+  /// Decodes the payload and rebuilds the derived state; `*hash`
+  /// receives the decoded database's content_hash() for the caller's
+  /// check against the header.
   static std::unique_ptr<LayoutDB> decode(const std::string& doc,
                                           std::size_t begin, std::size_t end,
-                                          DiagEngine& diag) {
+                                          DiagEngine& diag,
+                                          std::uint64_t* hash) {
     Decoder d(doc, begin, end, diag);
     std::unique_ptr<LayoutDB> db(new LayoutDB());
 
@@ -267,52 +318,52 @@ class SnapshotCodec {
           Transform(static_cast<Orient>(orient), Point{dx, dy});
     }
 
+    // Layer blocks. A scan that only counts varint terminator bytes (a
+    // shape is five varints) finds each block's byte range; the blocks
+    // then decode side by side on the pool, each with its own reader,
+    // and the lowest failing layer's diagnostic is the one reported.
+    std::array<std::uint64_t, kLayerCount> nshapes{};
+    std::array<std::size_t, kLayerCount> at{};
     for (int l = 0; l < kLayerCount; ++l) {
-      std::uint64_t nshapes = 0;
-      if (!d.count(&nshapes, "shape")) return nullptr;
-      auto& sv = db->shapes_[static_cast<std::size_t>(l)];
-      sv.resize(static_cast<std::size_t>(nshapes));
-      Point prev{};
-      std::uint64_t prev_path = 0;
-      for (DbShape& s : sv) {
-        std::int64_t dx = 0, dy = 0, w = 0, h = 0;
-        std::uint64_t dpath = 0;
-        if (!d.z(&dx) || !d.z(&dy) || !d.z(&w) || !d.z(&h) || !d.u(&dpath))
-          return nullptr;
-        if (w < 0 || h < 0) {
-          d.fail("snapshot-bad-value",
-                 strfmt("%s shape has negative size %lld x %lld",
-                        std::string(layer_name(static_cast<Layer>(l))).c_str(),
-                        static_cast<long long>(w),
-                        static_cast<long long>(h)));
-          return nullptr;
-        }
-        prev = Point{prev.x + dx, prev.y + dy};
-        prev_path += dpath;
-        if (prev_path >= nnodes) {
-          d.fail("snapshot-bad-value",
-                 strfmt("%s shape path id %llu out of range",
-                        std::string(layer_name(static_cast<Layer>(l))).c_str(),
-                        static_cast<unsigned long long>(prev_path)));
-          return nullptr;
-        }
-        s.rect = Rect{prev, {prev.x + w, prev.y + h}};
-        s.path = static_cast<std::uint32_t>(prev_path);
-      }
+      const auto li = static_cast<std::size_t>(l);
+      if (!d.count(&nshapes[li], "shape")) return nullptr;
+      at[li] = d.pos();
+      if (!d.skip(5 * nshapes[li])) return nullptr;
     }
-
     if (d.remaining() != 0) {
       d.fail("snapshot-bad-length",
              strfmt("%zu trailing payload bytes after the last layer",
                     d.remaining()));
       return nullptr;
     }
+    std::vector<DiagEngine> layer_diag(kLayerCount);
+    std::array<char, kLayerCount> ok{};
+    parallel_for(kLayerCount, 1, [&](std::int64_t l) {
+      const auto li = static_cast<std::size_t>(l);
+      // Bounded by the payload end; the scan proved the block holds
+      // exactly its shapes' varints.
+      Decoder ld(doc, at[li], end, layer_diag[li]);
+      ok[li] = decode_layer(ld, static_cast<Layer>(l), nshapes[li], nnodes,
+                            db->shapes_[li]);
+    });
+    for (std::size_t l = 0; l < kLayerCount; ++l)
+      if (!ok[l]) {
+        for (const Diagnostic& g : layer_diag[l].diagnostics())
+          diag.error(g.code, g.message);
+        return nullptr;
+      }
 
     // Derived state: indexes and subtree intervals are pure functions of
-    // the serialized fields and are rebuilt, not stored.
+    // the serialized fields and are rebuilt, not stored. Each layer's
+    // index and the content hash read disjoint fields, so they run side
+    // by side on the pool.
     db->rebuild_sub_ends();
-    for (int l = 0; l < kLayerCount; ++l)
-      db->reindex_layer(static_cast<std::size_t>(l));
+    parallel_for(kLayerCount + 1, 1, [&](std::int64_t i) {
+      if (i == 0)
+        *hash = db->content_hash();  // the longest job goes first
+      else
+        db->reindex_layer(static_cast<std::size_t>(i - 1));
+    });
     db->rebuild_bbox();
     return db;
   }
@@ -378,14 +429,23 @@ namespace {
 
 std::unique_ptr<LayoutDB> load_snapshot_impl(const std::string& path,
                                              DiagEngine& diag) {
-  std::ifstream f(path, std::ios::binary);
+  std::ifstream f(path, std::ios::binary | std::ios::ate);
   if (!f) {
     diag.error("snapshot-open-failed",
                strfmt("cannot open '%s'", path.c_str()));
     return nullptr;
   }
-  std::string doc((std::istreambuf_iterator<char>(f)),
-                  std::istreambuf_iterator<char>());
+  // One sized read: a character-wise stream copy costs more than the
+  // decode itself on a large macro.
+  const std::streamoff size = f.tellg();
+  std::string doc(size > 0 ? static_cast<std::size_t>(size) : 0, '\0');
+  f.seekg(0);
+  if (size < 0 ||
+      !f.read(doc.data(), static_cast<std::streamsize>(doc.size()))) {
+    diag.error("snapshot-open-failed",
+               strfmt("cannot read '%s'", path.c_str()));
+    return nullptr;
+  }
   if (doc.size() < kHeaderBytes + 4) {
     diag.error("snapshot-truncated",
                strfmt("'%s' is %zu bytes; a valid snapshot has at least %zu",
@@ -423,10 +483,11 @@ std::unique_ptr<LayoutDB> load_snapshot_impl(const std::string& path,
                       path.c_str(), stored_crc, actual_crc));
     return nullptr;
   }
-  auto db = SnapshotCodec::decode(doc, kHeaderBytes, doc.size() - 4, diag);
+  std::uint64_t actual_hash = 0;
+  auto db = SnapshotCodec::decode(doc, kHeaderBytes, doc.size() - 4, diag,
+                                  &actual_hash);
   if (!db) return nullptr;
   const std::uint64_t stored_hash = get_u64(doc, 16);
-  const std::uint64_t actual_hash = db->content_hash();
   if (stored_hash != actual_hash) {
     diag.error("snapshot-content-hash-mismatch",
                strfmt("'%s' decodes to content hash %016llx but claims "

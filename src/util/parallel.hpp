@@ -82,9 +82,11 @@ T parallel_reduce(std::int64_t trials, std::int64_t chunk, T identity,
   if (completed) *completed = 0;
   if (trials <= 0) return initial ? *initial : identity;
   if (chunk < 1) chunk = 1;
-  if (threads <= 0) threads = campaign_threads();
-
   const std::int64_t nchunks = (trials + chunk - 1) / chunk;
+  // One chunk never reaches the pool, so it skips the thread-count
+  // lookup too: the hardware query is a system call on every use, a
+  // measurable cost for the many tiny inline calls (leaf extraction).
+  if (threads <= 0 && nchunks > 1) threads = campaign_threads();
   if (threads == 1 || nchunks == 1) {
     // Serial path: identical association (chunked fold) as the parallel
     // path, just executed in place.

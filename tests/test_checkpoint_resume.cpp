@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -19,6 +20,7 @@
 
 #include "models/wafermap.hpp"
 #include "models/yield.hpp"
+#include "util/checkpoint.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 
@@ -321,6 +323,42 @@ TEST(CheckpointRejection, WrongSpecOrCampaignFingerprint) {
   sim::CampaignSpec missing{.trials = 20000, .seed = 42};
   missing.checkpoint.resume = file.path() + ".nowhere";
   EXPECT_THROW(models::wafer_yield_campaign(wafer, missing), SpecError);
+}
+
+// Checkpoints and layout snapshots share one CRC-32. It must keep the
+// IEEE check value and equal the plain bytewise loop at every length
+// and alignment, or files written by an older build stop loading.
+TEST(Crc32, MatchesTheBytewiseDefinition) {
+  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(crc32("", 0), 0u);
+
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  auto bytewise = [&](const unsigned char* p, std::size_t n,
+                      std::uint32_t crc) {
+    crc = ~crc;
+    for (std::size_t i = 0; i < n; ++i)
+      crc = table[(crc ^ p[i]) & 0xff] ^ (crc >> 8);
+    return ~crc;
+  };
+  std::vector<unsigned char> buf(300);
+  std::uint64_t x = 0x9E3779B97F4A7C15ULL;
+  for (auto& b : buf) {
+    x ^= x << 13, x ^= x >> 7, x ^= x << 17;
+    b = static_cast<unsigned char>(x);
+  }
+  for (std::size_t off = 0; off < 9; ++off)
+    for (std::size_t n = 0; n + off <= 40; ++n)
+      ASSERT_EQ(crc32(buf.data() + off, n), bytewise(buf.data() + off, n, 0))
+          << "off " << off << " n " << n;
+  // Continuing from a partial CRC equals one pass over the whole buffer.
+  const std::uint32_t head = crc32(buf.data(), 123);
+  EXPECT_EQ(crc32(buf.data() + 123, buf.size() - 123, head),
+            bytewise(buf.data(), buf.size(), 0));
 }
 
 }  // namespace

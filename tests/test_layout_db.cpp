@@ -214,7 +214,10 @@ TEST(LayoutDB, FlattenRefusesSelfReferentialHierarchies) {
   Library lib;
   auto c = lib.create("ouroboros");
   c->add_shape(Layer::Metal1, Rect::ltrb(0, 0, 2, 2));
-  c->add_instance("self", c, Transform::translate(4, 4));
+  // A non-owning self-reference: an owning one would be a shared_ptr
+  // cycle that outlives the test.
+  c->add_instance("self", CellPtr(CellPtr{}, c.get()),
+                  Transform::translate(4, 4));
   try {
     const LayoutDB db(*c);
     FAIL() << "expected DiagError";

@@ -3,20 +3,26 @@
 // Replace, Add) and across tile sizes,
 //
 //   * LayoutDB::apply is bit-identical (shapes, ids, provenance,
-//     content hash) to flattening geom::edited_cell from scratch;
+//     content hash, rects and tile buckets) to flattening
+//     geom::edited_cell from scratch;
 //   * drc::IncrementalDrc::report equals drc::check on the fresh
 //     flatten;
-//   * extract::IncrementalExtract::result equals extract::extract.
+//   * extract::IncrementalExtract::result equals the monolithic
+//     extractor kept as a test oracle (support/extract_reference.hpp);
+//     extract::extract is the engine's own cold build, so comparing
+//     against it would compare the engine with itself.
 //
 // The CI sanitizer legs run this suite at BISRAM_THREADS 1/2/8: the
-// incremental engines are single-threaded by contract, but the full
-// drc::check they are compared against runs its tiled passes on the
-// campaign pool, so the equality also pins thread-invariance.
+// full drc::check, the extraction engine's cold build and parts of
+// both engines' updates (DRC relabelling, the extraction edge remap)
+// run on the campaign pool, so the equality also pins
+// thread-invariance.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cells/leaf_cells.hpp"
@@ -24,12 +30,15 @@
 #include "drc/drc.hpp"
 #include "extract/extract.hpp"
 #include "geom/layout_db.hpp"
+#include "support/extract_reference.hpp"
 
 namespace bisram {
 namespace {
 
 using geom::CellEdit;
 using geom::LayoutDB;
+using test_support::expect_same_extraction;
+using test_support::extract_reference;
 
 core::RamSpec small_spec() {
   core::RamSpec spec;
@@ -73,6 +82,23 @@ void expect_same_db(const LayoutDB& got, const LayoutDB& want,
   for (std::uint32_t n = 0; n < want.path_count(); ++n)
     ASSERT_EQ(got.path_name(n), want.path_name(n)) << tag << " node " << n;
   EXPECT_EQ(got.content_hash(), want.content_hash()) << tag;
+  // The derived state too: apply() splices rects and tile buckets in
+  // place, and they must equal what a fresh flatten indexes.
+  EXPECT_TRUE(got.bbox() == want.bbox()) << tag;
+  for (geom::Layer l : geom::all_layers()) {
+    const std::string lt = tag + " layer " + std::to_string(static_cast<int>(l));
+    ASSERT_TRUE(got.rects(l) == want.rects(l)) << lt;
+    const geom::TileIndex& a = got.index(l);
+    const geom::TileIndex& b = want.index(l);
+    ASSERT_EQ(a.size(), b.size()) << lt;
+    ASSERT_TRUE(a.bounds() == b.bounds()) << lt;
+    ASSERT_EQ(a.tile_cols(), b.tile_cols()) << lt;
+    ASSERT_EQ(a.tile_rows(), b.tile_rows()) << lt;
+    for (int ty = 0; ty < b.tile_rows(); ++ty)
+      for (int tx = 0; tx < b.tile_cols(); ++tx)
+        ASSERT_EQ(a.bucket(tx, ty), b.bucket(tx, ty))
+            << lt << " tile " << tx << "," << ty;
+  }
 }
 
 void expect_same_violations(const std::vector<drc::Violation>& got,
@@ -87,23 +113,6 @@ void expect_same_violations(const std::vector<drc::Violation>& got,
                 a.path_b == b.path_b)
         << tag << " violation " << i << ": " << drc::describe(a) << " vs "
         << drc::describe(b);
-  }
-}
-
-void expect_same_extraction(const extract::Extracted& got,
-                            const extract::Extracted& want,
-                            const std::string& tag) {
-  EXPECT_EQ(got.net_count, want.net_count) << tag;
-  EXPECT_TRUE(got.port_net == want.port_net) << tag;
-  EXPECT_TRUE(got.net_cap_f == want.net_cap_f) << tag;
-  ASSERT_EQ(got.devices.size(), want.devices.size()) << tag;
-  for (std::size_t i = 0; i < got.devices.size(); ++i) {
-    const extract::Device& a = got.devices[i];
-    const extract::Device& b = want.devices[i];
-    ASSERT_TRUE(a.type == b.type && a.gate == b.gate && a.source == b.source &&
-                a.drain == b.drain && a.w_um == b.w_um && a.l_um == b.l_um &&
-                a.path == b.path)
-        << tag << " device " << i;
   }
 }
 
@@ -152,9 +161,9 @@ bool contains_rect(const geom::Rect& outer, const geom::Rect& inner) {
 }
 
 /// Replays the edit sequence on a database tiled at `tile`, checking
-/// apply() against the edited_cell + fresh-flatten oracle and the
-/// incremental DRC/extract engines against the full scans after every
-/// step.
+/// apply() against the edited_cell + fresh-flatten oracle, the
+/// incremental DRC against the full scan and the incremental extraction
+/// against the reference extractor after every step.
 void replay_at_tile(geom::Coord tile) {
   const Macro& m = small_macro();
   const tech::Tech& t = m.tech;
@@ -165,7 +174,7 @@ void replay_at_tile(geom::Coord tile) {
   extract::IncrementalExtract inc_ext(db, t);
   expect_same_violations(inc_drc.report(), drc::check(db, t),
                          tile_tag + " init");
-  expect_same_extraction(inc_ext.result(), extract::extract(db, t),
+  expect_same_extraction(inc_ext.result(), extract_reference(db, t),
                          tile_tag + " init");
 
   geom::Library lib;
@@ -180,7 +189,44 @@ void replay_at_tile(geom::Coord tile) {
     inc_drc.update(res);
     inc_ext.update(res);
     expect_same_violations(inc_drc.report(), drc::check(fresh, t), tag);
-    expect_same_extraction(inc_ext.result(), extract::extract(fresh, t), tag);
+    expect_same_extraction(inc_ext.result(), extract_reference(fresh, t), tag);
+  }
+}
+
+// apply() keeps a layer's tile grid and edits its buckets in place
+// only while the layer's bounds cannot move; edits at the bounds must
+// re-grid exactly as a fresh flatten does.
+TEST(LayoutIncremental, EditsAtTheLayerBoundsIndexLikeAFreshFlatten) {
+  auto leaf = std::make_shared<geom::Cell>("leaf");
+  leaf->add_shape(geom::Layer::Metal1, geom::Rect::xywh(0, 0, 10, 10));
+  auto top = std::make_shared<geom::Cell>("top");
+  for (int i = 0; i < 5; ++i)
+    top->add_instance("u" + std::to_string(i), leaf,
+                      geom::Transform::translate(100 * i, 0));
+  const geom::Coord tile = 16;
+  LayoutDB db(*top, tile);
+  geom::CellPtr cur = top;
+
+  auto move = [](const std::string& path, geom::Coord x, geom::Coord y) {
+    CellEdit e;
+    e.kind = CellEdit::Kind::Move;
+    e.path = path;
+    e.transform = geom::Transform::translate(x, y);
+    return e;
+  };
+  CellEdit remove;
+  remove.kind = CellEdit::Kind::Remove;
+  remove.path = "u0";
+  const std::vector<std::pair<std::string, CellEdit>> edits = {
+      {"shrink the high bound", move("u4", 250, 0)},
+      {"interior move", move("u2", 230, 5)},
+      {"remove at the low bound", remove},
+      {"grow past the low bound", move("u1", -50, 0)},
+  };
+  for (const auto& [tag, e] : edits) {
+    db.apply(e);
+    cur = geom::edited_cell(*cur, e);
+    expect_same_db(db, LayoutDB(*cur, tile), tag);
   }
 }
 

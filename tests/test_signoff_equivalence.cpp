@@ -4,7 +4,9 @@
 // them, for any worker-thread count and any tile size. The tiled
 // parallel DRC is cross-checked against the retained seed checker
 // (drc::check_reference) as a set, since the seed scan may report the
-// same spacing pair more than once.
+// same spacing pair more than once; extraction is cross-checked against
+// the monolithic extractor kept as a test oracle
+// (support/extract_reference.hpp).
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,7 @@
 #include "extract/lvs.hpp"
 #include "geom/layout_db.hpp"
 #include "geom/writers.hpp"
+#include "support/extract_reference.hpp"
 
 namespace bisram {
 namespace {
@@ -132,27 +135,18 @@ TEST(SignoffEquivalence, DrcIsTileSizeInvariant) {
                    "fine vs coarse tiles");
 }
 
+// Both public paths (flatten-and-extract from the cell, and a prebuilt
+// database at a non-default tile size) equal the reference extractor.
 TEST(SignoffEquivalence, ExtractedNetlistIdenticalAcrossPathsAndTiles) {
   const auto& g = small_macro();
   const tech::Tech& t = small_spec().resolved_technology();
-  const extract::Extracted via_cell = extract::extract(*g.top, t);
   const geom::LayoutDB coarse(*g.top, geom::LayoutDB::kDefaultTile * 8);
-  const extract::Extracted via_db = extract::extract(coarse, t);
-  ASSERT_EQ(via_cell.devices.size(), via_db.devices.size());
-  for (std::size_t i = 0; i < via_cell.devices.size(); ++i) {
-    const auto& a = via_cell.devices[i];
-    const auto& b = via_db.devices[i];
-    EXPECT_EQ(a.type, b.type) << i;
-    EXPECT_EQ(a.gate, b.gate) << i;
-    EXPECT_EQ(a.source, b.source) << i;
-    EXPECT_EQ(a.drain, b.drain) << i;
-    EXPECT_EQ(a.w_um, b.w_um) << i;  // bitwise
-    EXPECT_EQ(a.l_um, b.l_um) << i;
-    EXPECT_EQ(a.path, b.path) << i;
-  }
-  EXPECT_EQ(via_cell.net_count, via_db.net_count);
-  EXPECT_EQ(via_cell.port_net, via_db.port_net);
-  EXPECT_EQ(via_cell.net_cap_f, via_db.net_cap_f);  // bitwise
+  const extract::Extracted reference =
+      test_support::extract_reference(coarse, t);
+  test_support::expect_same_extraction(extract::extract(*g.top, t), reference,
+                                       "via cell");
+  test_support::expect_same_extraction(extract::extract(coarse, t), reference,
+                                       "via db");
 }
 
 TEST(SignoffEquivalence, LvsVerdictsStableAcrossTileSizes) {
