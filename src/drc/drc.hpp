@@ -6,14 +6,13 @@
 // actually satisfies the deck it was generated from.
 //
 // The checker runs on geom::LayoutDB (one flatten, per-layer tile
-// index) and checks tiles in parallel on util/parallel's deterministic
-// chunked engine. Each shape belongs to exactly one *home tile* (the
-// tile holding its lo corner), so the tile grid partitions the work
-// without duplicate reports; per-tile findings are folded in strict
-// tile order and the merged list is finally put into canonical
-// (rule phase, layer, coordinates) order. The result is bit-identical
-// for any BISRAM_THREADS / DrcOptions::threads value, and independent
-// of the database's tile size.
+// index) and is one engine, IncrementalDrc: drc::check is its cold
+// build with the report moved out. The cold build runs each rule's
+// per-shape pass on util/parallel's campaign pool in fixed shape-id
+// chunks whose findings are joined in chunk order, then puts the list
+// into canonical (rule phase, layer, coordinates) order. The result is
+// bit-identical for any BISRAM_THREADS / set_campaign_threads value,
+// and independent of the database's tile size.
 //
 // Known approximation (inherited from the seed checker): same-layer
 // spacing merges touching rectangles into connected components first,
@@ -21,6 +20,7 @@
 // (contact pad bridged to a gate by a stub). This also skips true
 // same-polygon notches — an accepted approximation.
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -46,19 +46,20 @@ struct Violation {
   std::string note;
   /// Instance provenance from the LayoutDB: the hierarchical path of
   /// the cell instance that produced rect a (and b, for pair rules).
-  /// Empty for shapes owned by the top cell, and for the reference
-  /// checker (which has no provenance to report).
+  /// Empty for shapes owned by the top cell.
   std::string path_a;
   std::string path_b;
 };
 
+/// Shape ids per work unit of the cold build's parallel passes. Each
+/// chunk fills its own record (or edge) list and the lists are joined
+/// in chunk order. A layer with fewer shapes is checked inline, without
+/// touching the campaign pool.
+inline constexpr std::int64_t kBuildChunk = 1 << 14;
+
 struct DrcOptions {
   /// Stop after this many violations (keeps pathological runs bounded).
   std::size_t max_violations = 1000;
-  /// Worker threads for the per-tile passes; <= 0 means the
-  /// BISRAM_THREADS / campaign_threads() default. The violation list is
-  /// bit-identical for every value.
-  int threads = 0;
 };
 
 /// The technology's maximum interaction distance: the largest spacing /
@@ -72,9 +73,11 @@ geom::Coord max_interaction_distance(const tech::Tech& tech);
 /// count.
 geom::Coord tile_size_for(const tech::Tech& tech);
 
-/// Checks a prebuilt layout database against `tech`'s rules. This is
-/// the signoff entry point: build the LayoutDB once and share it with
-/// extraction and the writers.
+/// Checks a prebuilt layout database against `tech`'s rules: the cold
+/// build of IncrementalDrc. This is the signoff entry point: build the
+/// LayoutDB once and share it with extraction and the writers. The
+/// report is in canonical (rule, layer, coordinates) order; findings
+/// with equal keys come in shape-id order.
 std::vector<Violation> check(const geom::LayoutDB& db, const tech::Tech& tech,
                              const DrcOptions& options = {});
 
@@ -83,20 +86,12 @@ std::vector<Violation> check(const geom::LayoutDB& db, const tech::Tech& tech,
 std::vector<Violation> check(const geom::Cell& top, const tech::Tech& tech,
                              const DrcOptions& options = {});
 
-/// The pre-LayoutDB serial checker (flatten per call, private spatial
-/// hash, first-found violation order). Kept as the oracle the
-/// equivalence tests and the bench_layouts signoff benchmark compare
-/// the tiled parallel path against; not for production use.
-std::vector<Violation> check_reference(const geom::Cell& top,
-                                       const tech::Tech& tech,
-                                       const DrcOptions& options = {});
-
-/// Incremental re-check over an edited LayoutDB. Construct it once from
-/// a full scan, then after every LayoutDB::apply feed the returned
-/// EditResult to update(); report() is bit-identical to running
-/// drc::check(db, tech, options) from scratch on the database's current
-/// contents, but update() only re-verifies shapes the edit could have
-/// affected:
+/// The DRC engine. Construct it from a LayoutDB (the cold build, run
+/// on the campaign pool), then after every LayoutDB::apply feed the
+/// returned EditResult to update(); report() is bit-identical to
+/// running drc::check(db, tech, options) from scratch on the database's
+/// current contents, but update() only re-verifies shapes the edit
+/// could have affected:
 ///
 ///   * min-width: only the inserted shapes (a surviving rect's width
 ///     cannot change).
@@ -111,10 +106,10 @@ std::vector<Violation> check_reference(const geom::Cell& top,
 ///     window query.
 ///
 /// The database must outlive the checker, and every apply() on it must
-/// be fed to update() before the next report(). update()/report() are
-/// single-threaded and deterministic, so the report is bit-identical
-/// for any BISRAM_THREADS value (DrcOptions::threads only shapes the
-/// initial full scan's reduction, which is deterministic too).
+/// be fed to update() before the next report(). Only the cold build and
+/// update()'s per-layer relabelling use the pool, and neither depends
+/// on the thread count, so the report is bit-identical for any
+/// BISRAM_THREADS value.
 class IncrementalDrc {
  public:
   IncrementalDrc(const geom::LayoutDB& db, const tech::Tech& tech,
@@ -133,6 +128,9 @@ class IncrementalDrc {
   std::vector<Violation> report() const;
 
  private:
+  friend std::vector<Violation> check(const geom::LayoutDB& db,
+                                      const tech::Tech& tech,
+                                      const DrcOptions& options);
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };

@@ -450,25 +450,17 @@ struct IncrementalExtract::Impl {
     }
     const Blocks b = blocks();
 
-    const std::int64_t chunks = (b.total + kBuildChunk - 1) / kBuildChunk;
-    std::vector<std::vector<std::uint64_t>> found(
-        static_cast<std::size_t>(chunks));
-    parallel_for(chunks, 1, [&](std::int64_t c) {
-      const auto lo = static_cast<std::uint32_t>(c * kBuildChunk);
-      const auto hi = static_cast<std::uint32_t>(
-          std::min<std::int64_t>(b.total, (c + 1) * kBuildChunk));
-      auto& mine = found[static_cast<std::size_t>(c)];
-      for_each_piece(lo, hi, b, [&](Layer l, const Rect& r, std::uint32_t g) {
-        discover(l, r, g, b, [](Layer, std::uint32_t) { return true; }, mine);
-      });
-    });
-    std::size_t total_edges = 0;
-    for (const auto& f : found) total_edges += f.size();
-    edges.reserve(total_edges);
-    for (auto& f : found) {
-      edges.insert(edges.end(), f.begin(), f.end());
-      std::vector<std::uint64_t>().swap(f);
-    }
+    const auto all_new = [](Layer, std::uint32_t) { return true; };
+    parallel_append(
+        b.total, kBuildChunk, edges,
+        [&](std::int64_t lo, std::int64_t hi,
+            std::vector<std::uint64_t>& part) {
+          for_each_piece(static_cast<std::uint32_t>(lo),
+                         static_cast<std::uint32_t>(hi), b,
+                         [&](Layer l, const Rect& r, std::uint32_t g) {
+                           discover(l, r, g, b, all_new, part);
+                         });
+        });
     std::vector<Device> none;
     lay_out_devices(none, [](int, std::size_t) { return kFresh; });
     number_nets(b);

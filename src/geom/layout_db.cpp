@@ -60,15 +60,6 @@ const std::vector<std::uint32_t>& TileIndex::bucket(int tx, int ty) const {
                   static_cast<std::size_t>(tx)];
 }
 
-std::vector<std::uint32_t> TileIndex::homed_in(int tx, int ty) const {
-  std::vector<std::uint32_t> out;
-  for (std::uint32_t id : bucket(tx, ty)) {
-    const Rect& r = (*rects_)[id];
-    if (tx_of(r.lo.x) == tx && ty_of(r.lo.y) == ty) out.push_back(id);
-  }
-  return out;
-}
-
 void TileIndex::for_each_in(
     const Rect& window, const std::function<void(std::uint32_t)>& fn) const {
   if (count_ == 0 || !window.intersects(bounds_)) return;

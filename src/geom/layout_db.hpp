@@ -48,7 +48,7 @@
 //     every tile it touches; queries deduplicate by shape id.
 //   * Determinism. Queries report shape ids in strictly increasing id
 //     order, independent of tile geometry, so everything built on top
-//     (parallel DRC included) is reproducible bit-for-bit.
+//     (DRC and extraction included) is reproducible bit-for-bit.
 //   * Provenance. Every shape carries the instance path that produced
 //     it ("ROWDEC/dec3/inv" style, segments joined with '/'; shapes
 //     owned by the top cell itself have an empty path). Paths are kept
@@ -100,12 +100,6 @@ class TileIndex {
   /// Shape ids bucketed into tile (tx, ty), in insertion (= id) order,
   /// each id possibly present in several tiles.
   const std::vector<std::uint32_t>& bucket(int tx, int ty) const;
-
-  /// Ids of rects whose *home tile* — the tile containing the rect's lo
-  /// corner — is (tx, ty). Each rect has exactly one home tile, which
-  /// gives parallel per-tile passes a duplicate-free partition of the
-  /// rect set.
-  std::vector<std::uint32_t> homed_in(int tx, int ty) const;
 
   /// Calls fn(id) for every rect intersecting `window` (edge-touching
   /// counts, as Rect::intersects), in strictly increasing id order,

@@ -120,11 +120,21 @@ class Decoder {
                : fail("snapshot-bad-value", "varint wider than 64 bits");
   }
 
-  /// Skips `n` varints by counting their terminator bytes.
+  /// Skips `n` varints by counting their terminator bytes. While n is at
+  /// least a block, a whole block cannot pass the n-th terminator, so it
+  /// is counted without a per-byte exit test (a loop that vectorizes).
   bool skip(std::uint64_t n) {
     if (failed_) return false;
-    for (; n > 0 && pos_ < end_; ++pos_)
-      n -= (static_cast<unsigned char>(data_[pos_]) & 0x80) == 0;
+    constexpr std::size_t kBlock = 4096;
+    const auto* p = reinterpret_cast<const unsigned char*>(data_);
+    while (n >= kBlock && end_ - pos_ >= kBlock) {
+      std::uint64_t ends = 0;
+      for (std::size_t i = 0; i < kBlock; ++i)
+        ends += (p[pos_ + i] & 0x80) == 0;
+      n -= ends;
+      pos_ += kBlock;
+    }
+    for (; n > 0 && pos_ < end_; ++pos_) n -= (p[pos_] & 0x80) == 0;
     if (n > 0)
       return fail("snapshot-truncated", "shape data runs past the payload end");
     return true;

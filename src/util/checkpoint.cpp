@@ -94,15 +94,6 @@ std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t crc) {
   return ~crc;
 }
 
-Fingerprint& Fingerprint::mix(std::uint64_t v) {
-  h_ = splitmix64_mix(h_ ^ v);
-  return *this;
-}
-
-Fingerprint& Fingerprint::mix_i64(std::int64_t v) {
-  return mix(static_cast<std::uint64_t>(v));
-}
-
 Fingerprint& Fingerprint::mix_f64(double v) {
   return mix(std::bit_cast<std::uint64_t>(v));
 }

@@ -33,6 +33,8 @@
 #include <cstdint>
 #include <string>
 
+#include "util/rng.hpp"
+
 namespace bisram {
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of `n` bytes, continuing
@@ -43,8 +45,13 @@ std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t crc = 0);
 /// result depends on; equal parameter sequences give equal fingerprints.
 class Fingerprint {
  public:
-  Fingerprint& mix(std::uint64_t v);
-  Fingerprint& mix_i64(std::int64_t v);
+  Fingerprint& mix(std::uint64_t v) {
+    h_ = splitmix64_mix(h_ ^ v);
+    return *this;
+  }
+  Fingerprint& mix_i64(std::int64_t v) {
+    return mix(static_cast<std::uint64_t>(v));
+  }
   Fingerprint& mix_f64(double v);  ///< by IEEE bit pattern
   Fingerprint& mix_str(const std::string& s);
   std::uint64_t value() const { return h_; }

@@ -18,10 +18,12 @@
 // Hence results are bit-identical for any BISRAM_THREADS value, which
 // tests/test_parallel_campaigns.cpp enforces.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -147,6 +149,31 @@ void parallel_for(std::int64_t items, std::int64_t chunk, PerItem&& per_item,
         return Nothing{};
       },
       [](Nothing, Nothing) { return Nothing{}; }, threads, cancel, completed);
+}
+
+/// Runs `fill(lo, hi, part)` over [0, items) in fixed `chunk`-sized
+/// ranges on the campaign pool, each range appending to its own `part`,
+/// then appends the parts to `out` in range order — the serial loop's
+/// result at any thread count. A fill may only write its own part.
+template <typename T, typename Fill>
+void parallel_append(std::int64_t items, std::int64_t chunk,
+                     std::vector<T>& out, Fill&& fill) {
+  if (items <= 0) return;
+  if (chunk < 1) chunk = 1;
+  const std::int64_t chunks = (items + chunk - 1) / chunk;
+  std::vector<std::vector<T>> parts(static_cast<std::size_t>(chunks));
+  parallel_for(chunks, 1, [&](std::int64_t c) {
+    const std::int64_t lo = c * chunk;
+    fill(lo, std::min(items, lo + chunk), parts[static_cast<std::size_t>(c)]);
+  });
+  std::size_t total = out.size();
+  for (const auto& p : parts) total += p.size();
+  out.reserve(total);
+  for (auto& p : parts) {
+    out.insert(out.end(), std::make_move_iterator(p.begin()),
+               std::make_move_iterator(p.end()));
+    std::vector<T>().swap(p);
+  }
 }
 
 }  // namespace bisram

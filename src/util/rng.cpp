@@ -17,13 +17,6 @@ std::uint64_t rotl(std::uint64_t x, int k) {
 }
 }  // namespace
 
-std::uint64_t splitmix64_mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 std::uint64_t stream_seed(std::uint64_t campaign_seed, std::uint64_t stream) {
   // Spread the counter across all 64 bits (odd multiplier = bijection)
   // before the xor so nearby trial indices land in unrelated seeds, then

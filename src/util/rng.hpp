@@ -33,8 +33,14 @@ class Rng {
 };
 
 /// Stateless splitmix64 finalizer: one increment-and-mix step of the
-/// splitmix64 sequence, usable as a strong 64-bit bijective hash.
-std::uint64_t splitmix64_mix(std::uint64_t x);
+/// splitmix64 sequence, usable as a strong 64-bit bijective hash. Inline:
+/// LayoutDB::content_hash chains it over every shape field.
+inline std::uint64_t splitmix64_mix(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 /// Counter-based seed-stream splitter for parallel campaigns. Trial i of
 /// a campaign seeded with `campaign_seed` always draws from

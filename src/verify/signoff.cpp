@@ -88,12 +88,12 @@ SignoffReport run_signoff(const core::RamSpec& spec,
   const tech::Tech& tech = spec.resolved_technology();
   if (options.run_drc) {
     rep.drc_ran = true;
-    // One flatten into the shared layout database; the checker runs its
-    // per-tile passes in parallel over it. With a snapshot directory
-    // configured, a warm entry for this spec's layout fingerprint
-    // replaces the flatten (the loader validates framing, CRC and
-    // content hash, so a stale or damaged entry degrades to a cold
-    // flatten, never to wrong geometry).
+    // One flatten into the shared layout database; the checker's cold
+    // build runs its per-shape passes in parallel over it. With a
+    // snapshot directory configured, a warm entry for this spec's layout
+    // fingerprint replaces the flatten (the loader validates framing,
+    // CRC and content hash, so a stale or damaged entry degrades to a
+    // cold flatten, never to wrong geometry).
     const geom::SnapshotCache snap_cache(options.layout_cache_dir);
     std::unique_ptr<geom::LayoutDB> db;
     if (snap_cache.persistent()) {

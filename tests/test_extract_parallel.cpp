@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <random>
 #include <string>
@@ -24,6 +23,7 @@
 #include "geom/layout_db.hpp"
 #include "spice/netlist.hpp"
 #include "support/extract_reference.hpp"
+#include "support/scoped_threads.hpp"
 #include "tech/tech.hpp"
 #include "util/parallel.hpp"
 
@@ -34,31 +34,7 @@ using geom::Coord;
 using geom::Layer;
 using geom::Rect;
 using test_support::expect_same_extraction;
-
-/// Sets BISRAM_THREADS for one scope (the environment wins over every
-/// programmatic override) and restores the previous value.
-class ScopedThreads {
- public:
-  explicit ScopedThreads(int n) {
-    if (const char* v = std::getenv("BISRAM_THREADS")) {
-      had_ = true;
-      saved_ = v;
-    }
-    setenv("BISRAM_THREADS", std::to_string(n).c_str(), 1);
-  }
-  ~ScopedThreads() {
-    if (had_)
-      setenv("BISRAM_THREADS", saved_.c_str(), 1);
-    else
-      unsetenv("BISRAM_THREADS");
-  }
-  ScopedThreads(const ScopedThreads&) = delete;
-  ScopedThreads& operator=(const ScopedThreads&) = delete;
-
- private:
-  bool had_ = false;
-  std::string saved_;
-};
+using test_support::ScopedThreads;
 
 /// Random layout generator. Each cluster is a CMOS stage: an NDiff and
 /// a PDiff stripe crossed by one shared gate plus 0-2 extra gates per

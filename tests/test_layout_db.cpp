@@ -1,11 +1,10 @@
 // Tests for the shared spatial layout database (geom/layout_db.hpp):
-// the TileIndex bucketing/query contracts (id order, dedup, home-tile
-// partition), the flatten-order and provenance guarantees of LayoutDB,
-// and the derived geometry queries (areas, bbox, transistor census).
+// the TileIndex bucketing/query contracts (id order, dedup), the
+// flatten-order and provenance guarantees of LayoutDB, and the derived
+// geometry queries (areas, bbox, transistor census).
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
 
 #include "cells/leaf_cells.hpp"
@@ -46,19 +45,6 @@ TEST(TileIndex, StraddlingRectLandsInEveryTileItTouches) {
   // Queries dedup the straddler back to one visit.
   EXPECT_EQ(idx.ids_in(Rect::ltrb(0, 0, 30, 20)),
             (std::vector<std::uint32_t>{0, 1}));
-}
-
-TEST(TileIndex, HomeTilesPartitionTheRectSet) {
-  const auto rects = lcg_rects(200, 11);
-  const TileIndex idx(rects, 64);
-  std::vector<int> seen(rects.size(), 0);
-  for (int ty = 0; ty < idx.tile_rows(); ++ty)
-    for (int tx = 0; tx < idx.tile_cols(); ++tx)
-      for (std::uint32_t id : idx.homed_in(tx, ty)) ++seen[id];
-  // Every rect has exactly one home tile — the duplicate-free partition
-  // the parallel DRC passes rely on.
-  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
-            static_cast<std::ptrdiff_t>(rects.size()));
 }
 
 TEST(TileIndex, QueriesMatchLinearScanInIdOrder) {
@@ -113,12 +99,6 @@ TEST(TileIndex, RectsExactlyOnTileBoundaries) {
   // The grid-corner point window likewise.
   EXPECT_EQ(idx.ids_in(Rect::ltrb(10, 10, 10, 10)),
             (std::vector<std::uint32_t>{0, 1, 2, 3}));
-  // Home tiles remain a partition even with boundary rects.
-  std::vector<int> seen(rects.size(), 0);
-  for (int ty = 0; ty < idx.tile_rows(); ++ty)
-    for (int tx = 0; tx < idx.tile_cols(); ++tx)
-      for (std::uint32_t id : idx.homed_in(tx, ty)) ++seen[id];
-  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), 4);
 }
 
 TEST(TileIndex, WindowsStraddlingAndOutsideTheIndexBbox) {

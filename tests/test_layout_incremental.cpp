@@ -6,15 +6,17 @@
 //     content hash, rects and tile buckets) to flattening
 //     geom::edited_cell from scratch;
 //   * drc::IncrementalDrc::report equals drc::check on the fresh
-//     flatten;
+//     flatten bit for bit and, as a key set, the seed checker kept as
+//     a test oracle (support/drc_reference.hpp) — drc::check is the
+//     engine's own cold build, so only the oracle is independent code;
 //   * extract::IncrementalExtract::result equals the monolithic
 //     extractor kept as a test oracle (support/extract_reference.hpp);
 //     extract::extract is the engine's own cold build, so comparing
 //     against it would compare the engine with itself.
 //
-// The CI sanitizer legs run this suite at BISRAM_THREADS 1/2/8: the
-// full drc::check, the extraction engine's cold build and parts of
-// both engines' updates (DRC relabelling, the extraction edge remap)
+// The CI sanitizer legs run this suite at BISRAM_THREADS 1/2/8: both
+// engines' cold builds (drc::check included) and parts of both
+// engines' updates (DRC relabelling, the extraction edge remap)
 // run on the campaign pool, so the equality also pins
 // thread-invariance.
 
@@ -30,6 +32,7 @@
 #include "drc/drc.hpp"
 #include "extract/extract.hpp"
 #include "geom/layout_db.hpp"
+#include "support/drc_reference.hpp"
 #include "support/extract_reference.hpp"
 
 namespace bisram {
@@ -37,6 +40,7 @@ namespace {
 
 using geom::CellEdit;
 using geom::LayoutDB;
+using test_support::drc_key_set;
 using test_support::expect_same_extraction;
 using test_support::extract_reference;
 
@@ -162,8 +166,9 @@ bool contains_rect(const geom::Rect& outer, const geom::Rect& inner) {
 
 /// Replays the edit sequence on a database tiled at `tile`, checking
 /// apply() against the edited_cell + fresh-flatten oracle, the
-/// incremental DRC against the full scan and the incremental extraction
-/// against the reference extractor after every step.
+/// incremental DRC against the cold build and the reference checker,
+/// and the incremental extraction against the reference extractor after
+/// every step.
 void replay_at_tile(geom::Coord tile) {
   const Macro& m = small_macro();
   const tech::Tech& t = m.tech;
@@ -174,6 +179,9 @@ void replay_at_tile(geom::Coord tile) {
   extract::IncrementalExtract inc_ext(db, t);
   expect_same_violations(inc_drc.report(), drc::check(db, t),
                          tile_tag + " init");
+  EXPECT_EQ(drc_key_set(inc_drc.report()),
+            drc_key_set(test_support::check_reference(*m.top, t)))
+      << tile_tag << " init";
   expect_same_extraction(inc_ext.result(), extract_reference(db, t),
                          tile_tag + " init");
 
@@ -188,7 +196,11 @@ void replay_at_tile(geom::Coord tile) {
     expect_same_db(db, fresh, tag);
     inc_drc.update(res);
     inc_ext.update(res);
-    expect_same_violations(inc_drc.report(), drc::check(fresh, t), tag);
+    const std::vector<drc::Violation> report = inc_drc.report();
+    expect_same_violations(report, drc::check(fresh, t), tag);
+    EXPECT_EQ(drc_key_set(report),
+              drc_key_set(test_support::check_reference(*cur, t)))
+        << tag;
     expect_same_extraction(inc_ext.result(), extract_reference(fresh, t), tag);
   }
 }

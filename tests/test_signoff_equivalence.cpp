@@ -1,20 +1,17 @@
 // The refactor contract of the shared LayoutDB (geom/layout_db.hpp):
 // signoff results — DRC violations, extracted netlists, LVS verdicts,
 // written SVG/CIF bytes — are bit-identical whichever path produces
-// them, for any worker-thread count and any tile size. The tiled
-// parallel DRC is cross-checked against the retained seed checker
-// (drc::check_reference) as a set, since the seed scan may report the
-// same spacing pair more than once; extraction is cross-checked against
-// the monolithic extractor kept as a test oracle
+// them, for any worker-thread count and any tile size. DRC is
+// cross-checked against the seed checker kept as a test oracle
+// (support/drc_reference.hpp) as a set, since the seed scan may report
+// the same spacing pair more than once; extraction is cross-checked
+// against the monolithic extractor kept as a test oracle
 // (support/extract_reference.hpp).
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdlib>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "cells/leaf_cells.hpp"
@@ -24,12 +21,17 @@
 #include "extract/lvs.hpp"
 #include "geom/layout_db.hpp"
 #include "geom/writers.hpp"
+#include "support/drc_reference.hpp"
 #include "support/extract_reference.hpp"
+#include "support/scoped_threads.hpp"
+#include "util/parallel.hpp"
 
 namespace bisram {
 namespace {
 
 using geom::Coord;
+using test_support::drc_key;
+using test_support::drc_key_set;
 
 /// The README quickstart macro (16 Kb), kept small enough for tier-1
 /// and the TSan leg.
@@ -64,31 +66,12 @@ const core::Generated& quickstart_macro() {
   return g;
 }
 
-/// Geometry-only identity of a violation — the note and provenance are
-/// formatting; the seed checker never filled paths.
-using VioKey = std::tuple<int, int, Coord, Coord, Coord, Coord, Coord,
-                          Coord, Coord, Coord>;
-
-VioKey key_of(const drc::Violation& v) {
-  return {static_cast<int>(v.kind), static_cast<int>(v.layer),
-          v.a.lo.x,  v.a.lo.y,      v.a.hi.x,  v.a.hi.y,
-          v.b.lo.x,  v.b.lo.y,      v.b.hi.x,  v.b.hi.y};
-}
-
-std::vector<VioKey> sorted_key_set(const std::vector<drc::Violation>& vios) {
-  std::vector<VioKey> keys;
-  for (const auto& v : vios) keys.push_back(key_of(v));
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  return keys;
-}
-
 void expect_identical(const std::vector<drc::Violation>& a,
                       const std::vector<drc::Violation>& b,
                       const std::string& what) {
   ASSERT_EQ(a.size(), b.size()) << what;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(key_of(a[i]), key_of(b[i])) << what << " #" << i;
+    EXPECT_EQ(drc_key(a[i]), drc_key(b[i])) << what << " #" << i;
     EXPECT_EQ(a[i].note, b[i].note) << what << " #" << i;
     EXPECT_EQ(a[i].path_a, b[i].path_a) << what << " #" << i;
     EXPECT_EQ(a[i].path_b, b[i].path_b) << what << " #" << i;
@@ -98,32 +81,32 @@ void expect_identical(const std::vector<drc::Violation>& a,
 TEST(SignoffEquivalence, TiledDrcMatchesSeedCheckerOnSmallMacro) {
   const auto& g = small_macro();
   const tech::Tech& t = small_spec().resolved_technology();
-  const auto reference = drc::check_reference(*g.top, t);
+  const auto reference = test_support::check_reference(*g.top, t);
   const geom::LayoutDB db(*g.top, drc::tile_size_for(t));
   const auto tiled = drc::check(db, t);
   // As sets: the seed scan can emit a MinSpace pair once per shared
-  // hash bucket; the tiled checker reports each pair exactly once.
-  EXPECT_EQ(sorted_key_set(tiled), sorted_key_set(reference));
+  // hash bucket; drc::check reports each pair exactly once.
+  EXPECT_EQ(drc_key_set(tiled), drc_key_set(reference));
 }
 
 TEST(SignoffEquivalence, DrcIsThreadCountInvariant) {
   const auto& g = quickstart_macro();
   const tech::Tech& t = quickstart_spec().resolved_technology();
   const geom::LayoutDB db(*g.top, drc::tile_size_for(t));
-  drc::DrcOptions opt;
-  opt.threads = 1;
-  const auto ref = drc::check(db, t, opt);
+  // The pool width comes from set_campaign_threads unless the
+  // environment pins it; under a pinned BISRAM_THREADS (the CI pool
+  // loop) the sweep re-checks that width.
+  const int saved = set_campaign_threads(1);
+  const auto ref = drc::check(db, t);
   for (int threads : {2, 8}) {
-    opt.threads = threads;
-    expect_identical(drc::check(db, t, opt), ref,
-                     "threads=" + std::to_string(threads));
+    set_campaign_threads(threads);
+    expect_identical(drc::check(db, t), ref,
+                     "set_campaign_threads(" + std::to_string(threads) + ")");
   }
-  // The BISRAM_THREADS env route (threads = 0) resolves through the
-  // same deterministic engine.
-  ASSERT_EQ(setenv("BISRAM_THREADS", "2", 1), 0);
-  opt.threads = 0;
-  expect_identical(drc::check(db, t, opt), ref, "BISRAM_THREADS=2");
-  ASSERT_EQ(unsetenv("BISRAM_THREADS"), 0);
+  set_campaign_threads(saved);
+  // The BISRAM_THREADS env route wins over the override.
+  const test_support::ScopedThreads pin(2);
+  expect_identical(drc::check(db, t), ref, "BISRAM_THREADS=2");
 }
 
 TEST(SignoffEquivalence, DrcIsTileSizeInvariant) {

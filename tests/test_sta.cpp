@@ -17,6 +17,7 @@
 #include "sta/graph.hpp"
 #include "sta/leaf.hpp"
 #include "sta/netlist.hpp"
+#include "support/timing_reference.hpp"
 #include "tech/tech_file.hpp"
 #include "verify/signoff.hpp"
 
@@ -286,11 +287,12 @@ TEST(StaAccessPath, TracksClosedFormReferenceModel) {
   const tech::Tech& t = spec.resolved_technology();
   const sim::RamGeometry geo = spec.geometry();
   const core::TimingReport sta_r = core::estimate_timing(t, geo, 2.0);
-  const core::TimingReport ref = core::estimate_timing_reference(t, geo, 2.0);
+  const core::TimingReport ref =
+      test_support::estimate_timing_reference(t, geo, 2.0);
   ASSERT_GT(ref.access_s, 0.0);
   // Path-based and lumped models share the physics; they must agree to
   // first order on every geometry (factor two, documented in
-  // core/timing.hpp).
+  // support/timing_reference.hpp).
   EXPECT_LT(sta_r.access_s / ref.access_s, 2.0);
   EXPECT_GT(sta_r.access_s / ref.access_s, 0.5);
   EXPECT_LT(sta_r.write_s / ref.write_s, 2.0);
