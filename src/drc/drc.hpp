@@ -6,13 +6,12 @@
 // actually satisfies the deck it was generated from.
 //
 // The checker runs on geom::LayoutDB (one flatten, per-layer tile
-// index) and is one engine, IncrementalDrc: drc::check is its cold
-// build with the report moved out. The cold build runs each rule's
-// per-shape pass on util/parallel's campaign pool in fixed shape-id
-// chunks whose findings are joined in chunk order, then puts the list
-// into canonical (rule phase, layer, coordinates) order. The result is
-// bit-identical for any BISRAM_THREADS / set_campaign_threads value,
-// and independent of the database's tile size.
+// index). drc::check runs each rule's per-shape pass on util/parallel's
+// campaign pool in fixed shape-id chunks whose findings are joined in
+// chunk order, then puts the list into canonical (rule, layer,
+// coordinates) order. The result is bit-identical for any
+// BISRAM_THREADS / set_campaign_threads value, and independent of the
+// database's tile size.
 //
 // Known approximation (inherited from the seed checker): same-layer
 // spacing merges touching rectangles into connected components first,
@@ -21,7 +20,6 @@
 // same-polygon notches — an accepted approximation.
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,10 +49,10 @@ struct Violation {
   std::string path_b;
 };
 
-/// Shape ids per work unit of the cold build's parallel passes. Each
-/// chunk fills its own record (or edge) list and the lists are joined
-/// in chunk order. A layer with fewer shapes is checked inline, without
-/// touching the campaign pool.
+/// Shape ids per work unit of drc::check's parallel passes. Each chunk
+/// fills its own finding (or touching-pair) list and the lists are
+/// joined in chunk order. A layer with fewer shapes is checked inline,
+/// without touching the campaign pool.
 inline constexpr std::int64_t kBuildChunk = 1 << 14;
 
 struct DrcOptions {
@@ -73,11 +71,10 @@ geom::Coord max_interaction_distance(const tech::Tech& tech);
 /// count.
 geom::Coord tile_size_for(const tech::Tech& tech);
 
-/// Checks a prebuilt layout database against `tech`'s rules: the cold
-/// build of IncrementalDrc. This is the signoff entry point: build the
-/// LayoutDB once and share it with extraction and the writers. The
-/// report is in canonical (rule, layer, coordinates) order; findings
-/// with equal keys come in shape-id order.
+/// Checks a prebuilt layout database against `tech`'s rules. This is
+/// the signoff entry point: build the LayoutDB once and share it with
+/// extraction and the writers. The report is in canonical (rule, layer,
+/// coordinates) order; findings with equal keys come in shape-id order.
 std::vector<Violation> check(const geom::LayoutDB& db, const tech::Tech& tech,
                              const DrcOptions& options = {});
 
@@ -85,55 +82,6 @@ std::vector<Violation> check(const geom::LayoutDB& db, const tech::Tech& tech,
 /// tile_size_for) and checks it.
 std::vector<Violation> check(const geom::Cell& top, const tech::Tech& tech,
                              const DrcOptions& options = {});
-
-/// The DRC engine. Construct it from a LayoutDB (the cold build, run
-/// on the campaign pool), then after every LayoutDB::apply feed the
-/// returned EditResult to update(); report() is bit-identical to
-/// running drc::check(db, tech, options) from scratch on the database's
-/// current contents, but update() only re-verifies shapes the edit
-/// could have affected:
-///
-///   * min-width: only the inserted shapes (a surviving rect's width
-///     cannot change).
-///   * min-space: the checker keeps the per-layer connectivity edges
-///     (touching pairs) and a canonical component label per shape; an
-///     edit re-verifies the inserted shapes plus every shape whose
-///     component label changed — exactly the shapes whose "same merged
-///     polygon" predicate can have flipped — and splices the surviving
-///     violations across the shape-id renumbering.
-///   * via enclosure / well coverage: vias (pdiffs) inside the edit's
-///     dirty region expanded by the rule's reach, found by an indexed
-///     window query.
-///
-/// The database must outlive the checker, and every apply() on it must
-/// be fed to update() before the next report(). Only the cold build and
-/// update()'s per-layer relabelling use the pool, and neither depends
-/// on the thread count, so the report is bit-identical for any
-/// BISRAM_THREADS value.
-class IncrementalDrc {
- public:
-  IncrementalDrc(const geom::LayoutDB& db, const tech::Tech& tech,
-                 const DrcOptions& options = {});
-  ~IncrementalDrc();
-  IncrementalDrc(const IncrementalDrc&) = delete;
-  IncrementalDrc& operator=(const IncrementalDrc&) = delete;
-
-  /// Consumes the EditResult of one LayoutDB::apply on the tracked
-  /// database (call once per apply, in order).
-  void update(const geom::EditResult& edit);
-
-  /// The full violation list for the database's current contents, in
-  /// canonical order, truncated to DrcOptions::max_violations —
-  /// bit-identical to drc::check.
-  std::vector<Violation> report() const;
-
- private:
-  friend std::vector<Violation> check(const geom::LayoutDB& db,
-                                      const tech::Tech& tech,
-                                      const DrcOptions& options);
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
 
 /// Human-readable one-line description of a violation (includes the
 /// instance path when provenance is available).

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -55,57 +54,13 @@ struct Extracted {
 inline constexpr std::int64_t kBuildChunk = 1 << 14;
 
 /// Extracts a prebuilt layout database (the signoff path: one LayoutDB
-/// shared with DRC and the writers). Ports come from db.ports(). This is
-/// IncrementalExtract's cold build, result moved out: the diffusion
-/// split and the edge discovery run on the campaign pool
+/// shared with DRC and the writers). Ports come from db.ports(). The
+/// diffusion split and the edge discovery run on the campaign pool
 /// (util/parallel.hpp), and the netlist is bit-identical at any
 /// BISRAM_THREADS value.
 Extracted extract(const geom::LayoutDB& db, const tech::Tech& tech);
 
 /// Convenience: flattens `top` into a LayoutDB and extracts it.
 Extracted extract(const geom::Cell& top, const tech::Tech& tech);
-
-/// The extraction engine, kept alive across edits of a LayoutDB.
-/// Construction is the cold build extract() runs; after every
-/// LayoutDB::apply feed the returned EditResult to update(), and
-/// result() equals extract::extract(db, tech) on the database's current
-/// contents.
-///
-/// What is cached and what is recomputed: the diffusion split (gate
-/// recognition + segment pieces + device sites) is kept per diffusion
-/// shape and recomputed only for shapes the edit inserted or whose
-/// rect intersects the edit's dirty poly region; the electrical
-/// adjacency edges are kept globally and spliced across the piece-id
-/// renumbering, with fresh edges discovered only around inserted
-/// pieces via the database's per-layer tile indexes (the carried
-/// edges are remapped in chunks on the campaign pool). Devices of
-/// carried shapes are moved, not rebuilt. Net numbering, ports and
-/// capacitance are linear re-passes over the cached pieces — they must
-/// be, because net ids are minted in global visit order and an edit
-/// shifts them globally — which is still far cheaper than the window
-/// queries they replace.
-///
-/// The database must outlive the extractor, and every apply() on it
-/// must be fed to update() (once, in order). Deterministic and
-/// thread-invariant.
-class IncrementalExtract {
- public:
-  IncrementalExtract(const geom::LayoutDB& db, const tech::Tech& tech);
-  ~IncrementalExtract();
-  IncrementalExtract(const IncrementalExtract&) = delete;
-  IncrementalExtract& operator=(const IncrementalExtract&) = delete;
-
-  /// Consumes the EditResult of one LayoutDB::apply on the tracked
-  /// database and refreshes the extraction.
-  void update(const geom::EditResult& edit);
-
-  /// The current netlist (valid until the next update()).
-  const Extracted& result() const;
-
- private:
-  friend Extracted extract(const geom::LayoutDB& db, const tech::Tech& tech);
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
 
 }  // namespace bisram::extract

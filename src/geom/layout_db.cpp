@@ -1,7 +1,6 @@
 #include "geom/layout_db.hpp"
 
 #include <algorithm>
-#include <string_view>
 
 #include "util/checkpoint.hpp"
 #include "util/diag.hpp"
@@ -89,55 +88,6 @@ std::vector<std::uint32_t> TileIndex::ids_in(const Rect& window) const {
   return out;
 }
 
-void TileIndex::splice(std::uint32_t begin, std::uint32_t old_end,
-                       std::uint32_t new_end, const Rect& removed) {
-  const std::int64_t delta = static_cast<std::int64_t>(new_end) - old_end;
-  auto drop = [&](std::vector<std::uint32_t>& b) {
-    const auto lo = std::lower_bound(b.begin(), b.end(), begin);
-    const auto hi = std::lower_bound(lo, b.end(), old_end);
-    for (auto it = hi; delta != 0 && it != b.end(); ++it)
-      *it = static_cast<std::uint32_t>(*it + delta);
-    b.erase(lo, hi);
-  };
-  if (delta != 0) {
-    for (auto& b : buckets_) drop(b);
-  } else if (begin != old_end) {
-    for (int ty = ty_of(removed.lo.y); ty <= ty_of(removed.hi.y); ++ty)
-      for (int tx = tx_of(removed.lo.x); tx <= tx_of(removed.hi.x); ++tx)
-        drop(buckets_[static_cast<std::size_t>(ty) *
-                          static_cast<std::size_t>(cols_) +
-                      static_cast<std::size_t>(tx)]);
-  }
-  count_ = rects_->size();
-  for (std::uint32_t k = begin; k < new_end; ++k) {
-    const Rect& r = (*rects_)[k];
-    for (int ty = ty_of(r.lo.y); ty <= ty_of(r.hi.y); ++ty)
-      for (int tx = tx_of(r.lo.x); tx <= tx_of(r.hi.x); ++tx) {
-        auto& b = buckets_[static_cast<std::size_t>(ty) *
-                               static_cast<std::size_t>(cols_) +
-                           static_cast<std::size_t>(tx)];
-        b.insert(std::lower_bound(b.begin(), b.end(), k), k);
-      }
-  }
-}
-
-// --- EditResult --------------------------------------------------------------
-
-std::vector<Rect> EditResult::dirty_rects(Layer l) const {
-  const auto li = static_cast<std::size_t>(l);
-  std::vector<Rect> out;
-  if (!old_bbox[li].empty()) out.push_back(old_bbox[li]);
-  if (!new_bbox[li].empty()) out.push_back(new_bbox[li]);
-  return out;
-}
-
-Rect EditResult::dirty_bbox() const {
-  Rect r{};
-  for (std::size_t l = 0; l < static_cast<std::size_t>(kLayerCount); ++l)
-    r = r.united(old_bbox[l]).united(new_bbox[l]);
-  return r;
-}
-
 // --- LayoutDB ----------------------------------------------------------------
 
 namespace {
@@ -146,20 +96,6 @@ namespace {
                                std::string message) {
   throw DiagError({{Severity::Error, std::move(code), std::move(message),
                     where, 0, 0}});
-}
-
-/// lower_bound over a layer's shapes by path id — valid because shapes
-/// are in depth-first flatten order, under which per-layer path ids are
-/// non-decreasing (a node's own shapes precede its descendants', and
-/// node ids are preorder).
-std::size_t path_lower_bound(const std::vector<DbShape>& sv,
-                             std::uint32_t node) {
-  return static_cast<std::size_t>(
-      std::lower_bound(sv.begin(), sv.end(), node,
-                       [](const DbShape& s, std::uint32_t v) {
-                         return s.path < v;
-                       }) -
-      sv.begin());
 }
 
 }  // namespace
@@ -172,7 +108,6 @@ LayoutDB::LayoutDB(const Cell& top, Coord tile_size)
   path_name_.emplace_back();  // node 0: the top cell, empty path
   path_local_.emplace_back();
   flatten_cell(top, Transform{}, 0, 0);
-  rebuild_sub_ends();
   for (int l = 0; l < kLayerCount; ++l) reindex_layer(static_cast<std::size_t>(l));
   rebuild_bbox();
 }
@@ -211,76 +146,12 @@ void LayoutDB::reindex_layer(std::size_t l) {
   index_[l] = TileIndex(rv, tile_);
 }
 
-void LayoutDB::splice_layer(std::size_t l, std::uint32_t lo,
-                            std::uint32_t old_hi, std::uint32_t new_hi) {
-  auto& rv = rects_[l];
-  const auto& sv = shapes_[l];
-  TileIndex& ix = index_[l];
-  // The tile grid is a function of the layer's bounds. They provably
-  // stay put when every replaced rect lay strictly inside them (its
-  // removal shrinks nothing) and every new rect lies within them;
-  // otherwise rebuild. Folded by hand, as TileIndex does, so degenerate
-  // rects count.
-  const Rect b = ix.bounds();
-  bool keep = !ix.empty();
-  Rect removed = lo < old_hi ? rv[lo] : Rect{};
-  for (std::uint32_t i = lo; keep && i < old_hi; ++i) {
-    const Rect& r = rv[i];
-    keep = r.lo.x > b.lo.x && r.lo.y > b.lo.y && r.hi.x < b.hi.x &&
-           r.hi.y < b.hi.y;
-    removed.lo.x = std::min(removed.lo.x, r.lo.x);
-    removed.lo.y = std::min(removed.lo.y, r.lo.y);
-    removed.hi.x = std::max(removed.hi.x, r.hi.x);
-    removed.hi.y = std::max(removed.hi.y, r.hi.y);
-  }
-  for (std::uint32_t i = lo; keep && i < new_hi; ++i) {
-    const Rect& r = sv[i].rect;
-    keep = r.lo.x >= b.lo.x && r.lo.y >= b.lo.y && r.hi.x <= b.hi.x &&
-           r.hi.y <= b.hi.y;
-  }
-  if (!keep) {
-    reindex_layer(l);
-    return;
-  }
-  if (new_hi < old_hi)
-    rv.erase(rv.begin() + new_hi, rv.begin() + old_hi);
-  else
-    rv.insert(rv.begin() + old_hi, new_hi - old_hi, Rect{});
-  for (std::uint32_t i = lo; i < new_hi; ++i) rv[i] = sv[i].rect;
-  ix.splice(lo, old_hi, new_hi, removed);
-}
-
 void LayoutDB::rebuild_bbox() {
   bbox_ = Rect{};
   for (int l = 0; l < kLayerCount; ++l) {
     const TileIndex& ix = index_[static_cast<std::size_t>(l)];
     if (!ix.empty()) bbox_ = bbox_.united(ix.bounds());
   }
-}
-
-void LayoutDB::rebuild_sub_ends() {
-  const std::size_t n = path_parent_.size();
-  path_sub_end_.resize(n);
-  for (std::size_t i = 0; i < n; ++i)
-    path_sub_end_[i] = static_cast<std::uint32_t>(i + 1);
-  // Preorder numbering: node i extends the subtree of every ancestor.
-  for (std::size_t i = 1; i < n; ++i) {
-    for (std::uint32_t a = path_parent_[i];;) {
-      path_sub_end_[a] = static_cast<std::uint32_t>(i + 1);
-      if (a == 0) break;
-      a = path_parent_[a];
-    }
-  }
-}
-
-Transform LayoutDB::abs_transform(std::uint32_t node) const {
-  std::vector<std::uint32_t> chain;
-  for (std::uint32_t n = node; n != 0; n = path_parent_[n])
-    chain.push_back(n);
-  Transform t{};
-  for (auto it = chain.rbegin(); it != chain.rend(); ++it)
-    t = t.compose(path_local_[*it]);
-  return t;
 }
 
 std::size_t LayoutDB::shape_count() const {
@@ -345,249 +216,6 @@ std::string LayoutDB::path_name(std::uint32_t id) const {
   return out;
 }
 
-std::uint32_t LayoutDB::node_of(const std::string& path) const {
-  if (path.empty()) return 0;
-  std::uint32_t cur = 0;
-  std::size_t pos = 0;
-  for (;;) {
-    const std::size_t slash = path.find('/', pos);
-    const std::size_t end = slash == std::string::npos ? path.size() : slash;
-    const std::string_view seg(path.data() + pos, end - pos);
-    bool found = false;
-    // Children of `cur` are adjacent subtrees in the preorder numbering:
-    // the first child is cur+1, each next sibling starts where the
-    // previous subtree ends. First name match wins (flatten order).
-    for (std::uint32_t c = cur + 1; c < path_sub_end_[cur];
-         c = path_sub_end_[c]) {
-      if (path_name_[c] == seg) {
-        cur = c;
-        found = true;
-        break;
-      }
-    }
-    if (!found)
-      throw Error("LayoutDB: no instance '" + std::string(seg) +
-                  "' on path '" + path + "' in " + top_name_);
-    if (slash == std::string::npos) break;
-    pos = slash + 1;
-  }
-  return cur;
-}
-
-EditResult LayoutDB::apply(const CellEdit& e) {
-  EditResult res{};
-
-  const auto depth_of = [&](std::uint32_t node) {
-    int d = 0;
-    for (std::uint32_t a = node; a != 0; a = path_parent_[a]) ++d;
-    return d;
-  };
-
-  if (e.kind == CellEdit::Kind::Move) {
-    // Moves change no ids at all: the subtree's shapes stay in place and
-    // are re-placed by the delta transform new_abs ∘ old_abs⁻¹ — exactly
-    // what a fresh flatten under the new placement would produce, since
-    // rigid transforms compose exactly in integer DBU.
-    const std::uint32_t n = node_of(e.path);
-    require(n != 0, "LayoutDB::apply: cannot move the top cell");
-    const std::uint32_t end = path_sub_end_[n];
-    const Transform old_abs = abs_transform(n);
-    const Transform new_abs =
-        abs_transform(path_parent_[n]).compose(e.transform);
-    path_local_[n] = e.transform;
-    const Transform delta = new_abs.compose(old_abs.inverse());
-    if (delta == Transform{}) return res;  // no-op move
-    for (int li = 0; li < kLayerCount; ++li) {
-      const auto l = static_cast<std::size_t>(li);
-      auto& sv = shapes_[l];
-      const std::size_t lo = path_lower_bound(sv, n);
-      const std::size_t hi = path_lower_bound(sv, end);
-      if (lo == hi) continue;
-      res.splice[l] = {static_cast<std::uint32_t>(lo),
-                       static_cast<std::uint32_t>(hi),
-                       static_cast<std::uint32_t>(hi)};
-      Rect ob{}, nb{};
-      for (std::size_t i = lo; i < hi; ++i) {
-        ob = ob.united(sv[i].rect);
-        sv[i].rect = delta.apply(sv[i].rect);
-        nb = nb.united(sv[i].rect);
-      }
-      res.old_bbox[l] = ob;
-      res.new_bbox[l] = nb;
-      splice_layer(l, static_cast<std::uint32_t>(lo),
-                   static_cast<std::uint32_t>(hi),
-                   static_cast<std::uint32_t>(hi));
-    }
-    rebuild_bbox();
-    return res;
-  }
-
-  // Replace / Add / Remove: splice the node interval [rm_begin, rm_end)
-  // out of the preorder numbering and (for Replace/Add) flatten the
-  // replacement subtree directly in the post-edit numbering.
-  std::uint32_t rm_begin = 0, rm_end = 0;
-  std::vector<std::uint32_t> new_parent;
-  std::vector<std::string> new_name;
-  std::vector<Transform> new_local;
-  std::array<std::vector<DbShape>, kLayerCount> new_shapes;
-
-  struct SubFlattener {
-    const std::string& top;
-    std::uint32_t base;
-    std::size_t budget;  // max new nodes before the instance cap trips
-    std::vector<std::uint32_t>& parent;
-    std::vector<std::string>& name;
-    std::vector<Transform>& local;
-    std::array<std::vector<DbShape>, kLayerCount>& shapes;
-
-    void run(const Cell& cell, const Transform& t, std::uint32_t node,
-             int depth) {
-      if (depth > kMaxFlattenDepth)
-        flatten_fail(top, "layout-flatten-too-deep",
-                     "hierarchy nested deeper than " +
-                         std::to_string(kMaxFlattenDepth) +
-                         " levels (instance cycle?) at cell '" + cell.name() +
-                         "'");
-      for (const auto& s : cell.shapes())
-        shapes[static_cast<std::size_t>(s.layer)].push_back(
-            {t.apply(s.rect), node});
-      for (const auto& inst : cell.instances()) {
-        if (parent.size() >= budget)
-          flatten_fail(top, "layout-flatten-too-many-instances",
-                       "flatten exceeds " +
-                           std::to_string(kMaxFlattenInstances) +
-                           " instances at cell '" + cell.name() + "'");
-        const auto child =
-            base + static_cast<std::uint32_t>(parent.size());
-        parent.push_back(node);
-        name.push_back(inst.name);
-        local.push_back(inst.transform);
-        run(*inst.cell, t.compose(inst.transform), child, depth + 1);
-      }
-    }
-  };
-
-  switch (e.kind) {
-    case CellEdit::Kind::Replace: {
-      const std::uint32_t n = node_of(e.path);
-      require(n != 0, "LayoutDB::apply: cannot replace the top cell");
-      ensure(e.cell != nullptr, "LayoutDB::apply: Replace needs a cell");
-      rm_begin = n;
-      rm_end = path_sub_end_[n];
-      new_parent.push_back(path_parent_[n]);
-      new_name.push_back(path_name_[n]);
-      new_local.push_back(path_local_[n]);
-      const std::size_t kept =
-          path_parent_.size() - (rm_end - rm_begin);
-      SubFlattener sub{top_name_, rm_begin, kMaxFlattenInstances - kept,
-                       new_parent, new_name, new_local, new_shapes};
-      sub.run(*e.cell, abs_transform(path_parent_[n]).compose(path_local_[n]),
-              rm_begin, depth_of(n));
-      break;
-    }
-    case CellEdit::Kind::Add: {
-      const std::uint32_t p = node_of(e.path);
-      ensure(e.cell != nullptr, "LayoutDB::apply: Add needs a cell");
-      require(!e.name.empty() && e.name.find('/') == std::string::npos,
-              "LayoutDB::apply: Add needs a plain instance name");
-      // The new instance becomes p's last child, so in a fresh flatten
-      // its subtree would start exactly where p's subtree ends.
-      rm_begin = rm_end = path_sub_end_[p];
-      new_parent.push_back(p);
-      new_name.push_back(e.name);
-      new_local.push_back(e.transform);
-      SubFlattener sub{top_name_, rm_begin,
-                       kMaxFlattenInstances - path_parent_.size(),
-                       new_parent, new_name, new_local, new_shapes};
-      sub.run(*e.cell, abs_transform(p).compose(e.transform), rm_begin,
-              depth_of(p) + 1);
-      break;
-    }
-    case CellEdit::Kind::Remove: {
-      const std::uint32_t n = node_of(e.path);
-      require(n != 0, "LayoutDB::apply: cannot remove the top cell");
-      rm_begin = n;
-      rm_end = path_sub_end_[n];
-      break;
-    }
-    case CellEdit::Kind::Move:
-      break;  // handled above
-  }
-
-  const std::int64_t node_delta =
-      static_cast<std::int64_t>(new_parent.size()) -
-      (static_cast<std::int64_t>(rm_end) - rm_begin);
-
-  // Per-layer shape splice. Path-id renumbering of the shapes after the
-  // splice happens on every layer; rects (hence the TileIndex) change
-  // only on layers the edit actually touched.
-  for (int li = 0; li < kLayerCount; ++li) {
-    const auto l = static_cast<std::size_t>(li);
-    auto& sv = shapes_[l];
-    const std::size_t lo = path_lower_bound(sv, rm_begin);
-    const std::size_t hi = path_lower_bound(sv, rm_end);
-    auto& ins = new_shapes[l];
-    res.splice[l] = {static_cast<std::uint32_t>(lo),
-                     static_cast<std::uint32_t>(hi),
-                     static_cast<std::uint32_t>(lo + ins.size())};
-    Rect ob{};
-    for (std::size_t i = lo; i < hi; ++i) ob = ob.united(sv[i].rect);
-    Rect nb{};
-    for (const DbShape& s : ins) nb = nb.united(s.rect);
-    res.old_bbox[l] = ob;
-    res.new_bbox[l] = nb;
-    if (node_delta != 0)
-      for (std::size_t i = hi; i < sv.size(); ++i)
-        sv[i].path = static_cast<std::uint32_t>(
-            static_cast<std::int64_t>(sv[i].path) + node_delta);
-    if (lo != hi || !ins.empty()) {
-      sv.erase(sv.begin() + static_cast<std::ptrdiff_t>(lo),
-               sv.begin() + static_cast<std::ptrdiff_t>(hi));
-      sv.insert(sv.begin() + static_cast<std::ptrdiff_t>(lo),
-                std::make_move_iterator(ins.begin()),
-                std::make_move_iterator(ins.end()));
-      splice_layer(l, res.splice[l].begin, res.splice[l].old_end,
-                   res.splice[l].new_end);
-    }
-  }
-
-  // Node-array splice with the same renumbering. A node after the spliced
-  // interval always has its parent either before rm_begin or inside the
-  // shifted suffix — never inside the removed subtree.
-  const std::size_t old_n = path_parent_.size();
-  std::vector<std::uint32_t> parent2;
-  std::vector<std::string> name2;
-  std::vector<Transform> local2;
-  parent2.reserve(old_n - (rm_end - rm_begin) + new_parent.size());
-  name2.reserve(parent2.capacity());
-  local2.reserve(parent2.capacity());
-  for (std::uint32_t i = 0; i < rm_begin; ++i) {
-    parent2.push_back(path_parent_[i]);
-    name2.push_back(std::move(path_name_[i]));
-    local2.push_back(path_local_[i]);
-  }
-  for (std::size_t i = 0; i < new_parent.size(); ++i) {
-    parent2.push_back(new_parent[i]);
-    name2.push_back(std::move(new_name[i]));
-    local2.push_back(new_local[i]);
-  }
-  for (std::size_t i = rm_end; i < old_n; ++i) {
-    const std::uint32_t p = path_parent_[i];
-    parent2.push_back(p >= rm_end
-                          ? static_cast<std::uint32_t>(
-                                static_cast<std::int64_t>(p) + node_delta)
-                          : p);
-    name2.push_back(std::move(path_name_[i]));
-    local2.push_back(path_local_[i]);
-  }
-  path_parent_ = std::move(parent2);
-  path_name_ = std::move(name2);
-  path_local_ = std::move(local2);
-  rebuild_sub_ends();
-  rebuild_bbox();
-  return res;
-}
-
 std::uint64_t LayoutDB::content_hash() const {
   Fingerprint fp;
   fp.mix_str("bisram-layoutdb-v1");
@@ -617,56 +245,6 @@ std::uint64_t LayoutDB::content_hash() const {
     }
   }
   return fp.value();
-}
-
-std::shared_ptr<Cell> edited_cell(const Cell& top, const CellEdit& e) {
-  std::vector<std::string> segs;
-  if (!e.path.empty()) {
-    std::size_t pos = 0;
-    for (;;) {
-      const std::size_t slash = e.path.find('/', pos);
-      const std::size_t end =
-          slash == std::string::npos ? e.path.size() : slash;
-      segs.emplace_back(e.path, pos, end - pos);
-      if (slash == std::string::npos) break;
-      pos = slash + 1;
-    }
-  }
-  const bool add = e.kind == CellEdit::Kind::Add;
-  require(add || !segs.empty(),
-          "edited_cell: cannot edit the top cell itself");
-  // Depth of the cell that owns the edited Instance entry.
-  const std::size_t limit = add ? segs.size() : segs.size() - 1;
-
-  const std::function<std::shared_ptr<Cell>(const Cell&, std::size_t)> clone =
-      [&](const Cell& cell, std::size_t d) -> std::shared_ptr<Cell> {
-    auto out = std::make_shared<Cell>(cell.name());
-    for (const auto& s : cell.shapes()) out->add_shape(s.layer, s.rect);
-    for (const auto& p : cell.ports()) out->add_port(p.name, p.layer, p.rect);
-    bool hit = false;
-    for (const auto& inst : cell.instances()) {
-      if (!hit && d < limit && inst.name == segs[d]) {
-        hit = true;
-        out->add_instance(inst.name, clone(*inst.cell, d + 1), inst.transform);
-      } else if (!hit && d == limit && !add && inst.name == segs[d]) {
-        hit = true;
-        if (e.kind == CellEdit::Kind::Replace)
-          out->add_instance(inst.name, e.cell, inst.transform);
-        else if (e.kind == CellEdit::Kind::Move)
-          out->add_instance(inst.name, inst.cell, e.transform);
-        // Remove: drop the instance.
-      } else {
-        out->add_instance(inst.name, inst.cell, inst.transform);
-      }
-    }
-    if (d == limit && add)
-      out->add_instance(e.name, e.cell, e.transform);
-    else
-      require(hit, "edited_cell: no instance '" + segs[d] + "' on path '" +
-                       e.path + "'");
-    return out;
-  };
-  return clone(top, 0);
 }
 
 }  // namespace bisram::geom

@@ -13,22 +13,14 @@
 //     cells --(flatten once)--> LayoutDB --> { DRC, extract, LVS,
 //                                              writers }
 //
-// Since the incremental/serialization refactor the database is no
-// longer a per-run throwaway:
-//
-//   * apply(CellEdit) edits the flattened database in place — replace,
-//     move, add or remove one instance subtree — re-flattening only the
-//     edited subtree and splicing it into the per-layer shape vectors.
-//     The result is bit-identical (rects, shape ids, provenance) to a
-//     fresh flatten of the edited hierarchy; the returned EditResult
-//     carries the dirty region and the shape-id splice map that drive
-//     the incremental DRC / extraction re-verification.
-//   * save_snapshot()/load_snapshot() persist the flattened database as
-//     a compact, versioned, CRC-protected binary file (format in
-//     layout_snapshot.cpp), so a warm run loads the flatten instead of
-//     recomputing it. geom::SnapshotCache (layout_snapshot.hpp) keys
-//     snapshot files by content-hash fingerprints for the compiler, the
-//     DSE engine and bisram_lint.
+// The database is not a per-run throwaway either:
+// save_snapshot()/load_snapshot() persist the flattened database as a
+// compact, versioned, CRC-protected binary file (format in
+// layout_snapshot.cpp), so a warm run loads the flatten instead of
+// recomputing it. geom::SnapshotCache (layout_snapshot.hpp) keys
+// snapshot files by content-hash fingerprints for the compiler, the DSE
+// engine and bisram_lint. A changed hierarchy is flattened afresh: the
+// generator rebuilds a macro from its spec, never edits one in place.
 //
 // Contracts:
 //   * Shape order. Per layer, shapes are stored in the exact order the
@@ -36,9 +28,7 @@
 //     flatten_by_layer() historically returned. Extraction's net
 //     numbering and the SVG writer's paint order are functions of that
 //     order, so their outputs are bit-identical to the pre-LayoutDB
-//     code by construction. apply() preserves this: after an edit the
-//     shape order equals what a fresh flatten of the edited hierarchy
-//     would produce.
+//     code by construction.
 //   * Tiling. Each layer with shapes gets a uniform tile grid over the
 //     layer's bounding box. The tile edge is the caller's choice — DRC
 //     sizes it from the technology's maximum interaction distance (the
@@ -110,16 +100,6 @@ class TileIndex {
   /// Collects the ids for_each_in would visit.
   std::vector<std::uint32_t> ids_in(const Rect& window) const;
 
-  /// Re-indexes after the rect vector was spliced in place: ids
-  /// [begin, old_end) were replaced by [begin, new_end) and later ids
-  /// shifted by new_end - old_end; `removed` covers the replaced rects'
-  /// old positions. Only touched buckets are edited (all of them, to
-  /// shift ids, when the count changed). The caller guarantees the
-  /// set's bounds — hence the tile grid — are unchanged, so the buckets
-  /// equal a fresh build's.
-  void splice(std::uint32_t begin, std::uint32_t old_end,
-              std::uint32_t new_end, const Rect& removed);
-
  private:
   int tx_of(Coord x) const;
   int ty_of(Coord y) const;
@@ -138,67 +118,6 @@ class TileIndex {
 struct DbShape {
   Rect rect;
   std::uint32_t path = 0;  ///< LayoutDB path-node id (0 = the top cell)
-};
-
-/// One edit to a flattened hierarchy, addressed by instance path.
-struct CellEdit {
-  enum class Kind {
-    Replace,  ///< swap the instance's cell (placement unchanged)
-    Move,     ///< re-place the instance (cell unchanged)
-    Add,      ///< append a new instance as the last child of `path`
-    Remove,   ///< delete the instance and its whole subtree
-  };
-  Kind kind = Kind::Replace;
-  /// Instance path of the edited instance ("ARRAY/row3/c17"); for Add,
-  /// the path of the *parent* instance ("" = the top cell itself).
-  std::string path;
-  std::string name;     ///< Add only: the new instance's name
-  CellPtr cell;         ///< Replace/Add: the subtree's cell
-  Transform transform;  ///< Move/Add: the local placement in the parent
-};
-
-/// Per-layer shape-id splice of one apply(): old ids [begin, old_end)
-/// were invalidated (removed or rewritten) and replaced by new ids
-/// [begin, new_end); ids >= old_end shifted by new_end - old_end.
-struct ShapeSplice {
-  static constexpr std::uint32_t kRemoved = 0xffffffffu;
-
-  std::uint32_t begin = 0;
-  std::uint32_t old_end = 0;
-  std::uint32_t new_end = 0;
-
-  bool empty() const { return begin == old_end && begin == new_end; }
-  std::int64_t delta() const {
-    return static_cast<std::int64_t>(new_end) -
-           static_cast<std::int64_t>(old_end);
-  }
-  /// Maps a pre-edit shape id to its post-edit id; kRemoved for ids the
-  /// edit invalidated (consumers treat those as deleted + re-added).
-  std::uint32_t remap(std::uint32_t id) const {
-    if (id < begin) return id;
-    if (id < old_end) return kRemoved;
-    return static_cast<std::uint32_t>(static_cast<std::int64_t>(id) + delta());
-  }
-};
-
-/// What one apply() changed: the per-layer splice maps plus the dirty
-/// region (bounding boxes of the removed and inserted shapes). The
-/// incremental DRC / extraction passes re-verify only shapes near this
-/// region; everything else is provably untouched.
-struct EditResult {
-  std::array<ShapeSplice, kLayerCount> splice;
-  std::array<Rect, kLayerCount> old_bbox;  ///< empty when nothing removed
-  std::array<Rect, kLayerCount> new_bbox;  ///< empty when nothing inserted
-
-  const ShapeSplice& splice_of(Layer l) const {
-    return splice[static_cast<std::size_t>(l)];
-  }
-  /// True when the edit touched `layer` at all.
-  bool touches(Layer l) const { return !splice_of(l).empty(); }
-  /// The layer's dirty rects (0, 1 or 2 of old/new bbox).
-  std::vector<Rect> dirty_rects(Layer l) const;
-  /// Union bounding box of the dirty region over every layer.
-  Rect dirty_bbox() const;
 };
 
 class LayoutDB {
@@ -293,20 +212,6 @@ class LayoutDB {
   }
   /// Number of path nodes (top + every flattened instance).
   std::size_t path_count() const { return path_parent_.size(); }
-  /// The path node of the instance at `path` ("A/b/c" syntax; "" = the
-  /// top node, 0). Throws bisram::Error when no such instance exists.
-  std::uint32_t node_of(const std::string& path) const;
-
-  // --- incremental maintenance ----------------------------------------------
-  /// Applies one edit in place: re-flattens only the edited subtree and
-  /// splices it into the per-layer shape vectors, renumbering path
-  /// nodes and shape ids exactly as a fresh flatten of the edited
-  /// hierarchy would. Only layers the edit touched are re-indexed,
-  /// bucket by bucket when their bounds stay put. Throws bisram::Error for an unknown path, an edit
-  /// addressing the top cell itself, or an Add whose name/cell is
-  /// missing. The returned EditResult drives drc::IncrementalDrc and
-  /// extract::IncrementalExtract.
-  EditResult apply(const CellEdit& edit);
 
   /// Content fingerprint over everything the database stores (shapes,
   /// provenance tree, ports, tile size). Equal databases hash equal;
@@ -335,17 +240,7 @@ class LayoutDB {
                     int depth);
   /// Rebuilds rects_[l] + index_[l] from shapes_[l].
   void reindex_layer(std::size_t l);
-  /// Brings rects_[l] + index_[l] up to date after shapes_[l] ids
-  /// [lo, old_hi) were replaced by [lo, new_hi): the index is spliced in
-  /// place when the layer's bounds provably stay put, else rebuilt.
-  void splice_layer(std::size_t l, std::uint32_t lo, std::uint32_t old_hi,
-                    std::uint32_t new_hi);
   void rebuild_bbox();
-  /// Recomputes path_sub_end_ from path_parent_ (preorder invariant).
-  void rebuild_sub_ends();
-  /// Absolute transform of a path node (composition of local transforms
-  /// from the top down).
-  Transform abs_transform(std::uint32_t node) const;
 
   std::string top_name_;
   std::vector<Port> ports_;
@@ -354,23 +249,12 @@ class LayoutDB {
   std::array<std::vector<DbShape>, kLayerCount> shapes_;
   std::array<std::vector<Rect>, kLayerCount> rects_;
   std::array<TileIndex, kLayerCount> index_;
-  // Parent-pointer path tree; node 0 is the top cell. Names and local
-  // placements are stored by value (one node per flattened instance,
-  // not per shape); path_sub_end_[n] is one past the last node of n's
-  // subtree in the preorder numbering, so a subtree is always the id
-  // interval [n, path_sub_end_[n]).
+  // Parent-pointer path tree in preorder; node 0 is the top cell. Names
+  // and local placements are stored by value (one node per flattened
+  // instance, not per shape).
   std::vector<std::uint32_t> path_parent_;
   std::vector<std::string> path_name_;
   std::vector<Transform> path_local_;
-  std::vector<std::uint32_t> path_sub_end_;
 };
-
-/// Rebuilds a cell hierarchy with `edit` applied: clones the ancestor
-/// chain from `top` down to the edited instance and swaps in the edit.
-/// This is the full-rebuild oracle the incremental tests and the
-/// layoutdb bench flatten from scratch to prove LayoutDB::apply
-/// bit-identical; it is also the convenient way to keep a Cell tree in
-/// sync with an edited database.
-std::shared_ptr<Cell> edited_cell(const Cell& top, const CellEdit& edit);
 
 }  // namespace bisram::geom

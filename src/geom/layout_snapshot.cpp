@@ -309,8 +309,7 @@ class SnapshotCodec {
           !d.u(&orient) || !d.z(&dx) || !d.z(&dy))
         return nullptr;
       // Preorder invariant: a node's parent precedes it (node 0 is its
-      // own parent). Everything downstream — path materialization,
-      // subtree intervals, apply()'s splices — relies on this.
+      // own parent). Path materialization relies on this.
       if ((i == 0 && parent != 0) || (i > 0 && parent >= i)) {
         d.fail("snapshot-bad-value",
                strfmt("path node %zu has non-preorder parent %llu", i,
@@ -363,11 +362,10 @@ class SnapshotCodec {
         return nullptr;
       }
 
-    // Derived state: indexes and subtree intervals are pure functions of
-    // the serialized fields and are rebuilt, not stored. Each layer's
-    // index and the content hash read disjoint fields, so they run side
-    // by side on the pool.
-    db->rebuild_sub_ends();
+    // Derived state: the indexes are pure functions of the serialized
+    // fields and are rebuilt, not stored. Each layer's index and the
+    // content hash read disjoint fields, so they run side by side on the
+    // pool.
     parallel_for(kLayerCount + 1, 1, [&](std::int64_t i) {
       if (i == 0)
         *hash = db->content_hash();  // the longest job goes first

@@ -30,6 +30,7 @@
 #include "support/scoped_threads.hpp"
 #include "tech/tech.hpp"
 #include "util/parallel.hpp"
+#include "util/union_find.hpp"
 
 namespace bisram {
 namespace {
@@ -345,6 +346,49 @@ TEST(DrcParallel, ParallelAppendJoinsChunksInRangeOrder) {
         if (i % 3 != 0) want.push_back(i);
       EXPECT_EQ(out, want) << "width " << width << " items " << items;
     }
+  }
+}
+
+// component_labels finds pairs a batch of 16 chunks at a time and
+// merges each batch before the next. With 7-id chunks, 1,000 ids span
+// nine batches, and the random pairs reach both forward and back across
+// batch boundaries; the labels must equal each component's lowest id,
+// found here by plain relaxation, at every pool width.
+TEST(DrcParallel, ComponentLabelsMergeAcrossBatches) {
+  constexpr std::uint32_t n = 1000;
+  std::mt19937_64 rng(17);
+  std::vector<std::vector<std::uint32_t>> partners(n);
+  for (std::uint32_t i = 0; i < n; ++i)
+    for (int k = 0; k < 2; ++k)
+      if (rng() % 3 == 0)
+        partners[i].push_back(static_cast<std::uint32_t>(rng() % n));
+  const auto pack = [](std::uint32_t a, std::uint32_t b) {
+    return (static_cast<std::uint64_t>(std::min(a, b)) << 32) |
+           std::max(a, b);
+  };
+
+  std::vector<std::uint32_t> want(n);
+  for (std::uint32_t i = 0; i < n; ++i) want[i] = i;
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (std::uint32_t i = 0; i < n; ++i)
+      for (std::uint32_t j : partners[i]) {
+        const std::uint32_t m = std::min(want[i], want[j]);
+        if (want[i] != m || want[j] != m) changed = true;
+        want[i] = want[j] = m;
+      }
+  }
+
+  for (int width : {1, 2, 8}) {
+    const ScopedThreads pin(width);
+    const std::vector<std::uint32_t> got = component_labels(
+        n, 7,
+        [&](std::int64_t lo, std::int64_t hi,
+            std::vector<std::uint64_t>& part) {
+          for (auto i = static_cast<std::uint32_t>(lo); i < hi; ++i)
+            for (std::uint32_t j : partners[i]) part.push_back(pack(i, j));
+        });
+    EXPECT_EQ(got, want) << "width " << width;
   }
 }
 
