@@ -141,7 +141,7 @@ struct Scans {
     const Rect& r = db.rects(layer)[i];
     if (std::min(r.width(), r.height()) < tech.rule(layer).min_width)
       out.push_back({RuleKind::MinWidth, layer, r, {}, "",
-                     db.path_name(db.shapes(layer)[i].path), {}});
+                     db.path_name(db.paths(layer)[i]), {}});
   }
 
   /// Appends shape i's touching pairs with higher ids, packed i<<32|j.
@@ -158,7 +158,7 @@ struct Scans {
              std::uint32_t k, std::vector<Violation>& out) const {
     const Coord min_space = tech.rule(layer).min_space;
     const auto& rects = db.rects(layer);
-    const auto& shapes = db.shapes(layer);
+    const auto& paths = db.paths(layer);
     db.index(layer).for_each_in(
         rects[k].expanded(min_space), [&](std::uint32_t j) {
           if (j <= k || label[j] == label[k]) return;
@@ -166,8 +166,7 @@ struct Scans {
           if (gap >= min_space) return;
           out.push_back({RuleKind::MinSpace, layer, rects[k], rects[j],
                          space_note(gap, min_space),
-                         db.path_name(shapes[k].path),
-                         db.path_name(shapes[j].path)});
+                         db.path_name(paths[k]), db.path_name(paths[j])});
         });
   }
 
@@ -182,12 +181,12 @@ struct Scans {
     if (!landed)
       out.push_back({RuleKind::ViaEnclosure, vr.via, via, {},
                      "missing lower-layer enclosure",
-                     db.path_name(db.shapes(vr.via)[i].path), {}});
+                     db.path_name(db.paths(vr.via)[i]), {}});
     if (!enclosed_by_any(via.expanded(vr.encl_upper), db.index(vr.upper),
                          db.rects(vr.upper)))
       out.push_back({RuleKind::ViaEnclosure, vr.via, via, {},
                      "missing upper-layer enclosure",
-                     db.path_name(db.shapes(vr.via)[i].path), {}});
+                     db.path_name(db.paths(vr.via)[i]), {}});
   }
 
   void well(std::uint32_t i, std::vector<Violation>& out) const {
@@ -196,7 +195,7 @@ struct Scans {
                          db.index(Layer::NWell), db.rects(Layer::NWell)))
       out.push_back({RuleKind::WellCoverage, Layer::PDiff, pd, {},
                      "pdiff not enclosed by nwell",
-                     db.path_name(db.shapes(Layer::PDiff)[i].path), {}});
+                     db.path_name(db.paths(Layer::PDiff)[i]), {}});
   }
 };
 

@@ -350,14 +350,14 @@ class Builder {
       return path_memo[node];
     };
     for (int dl_i = 0; dl_i < 2; ++dl_i) {
-      const auto& shapes = db_.shapes(diff_layer(dl_i));
+      const auto& paths = db_.paths(diff_layer(dl_i));
       for (std::size_t k = 0; k < entries_[dl_i].size(); ++k)
         for (const LocalSite& site : entries_[dl_i][k].sites) {
           Device d;
           d.type = dl_i == 1 ? spice::MosType::Pmos : spice::MosType::Nmos;
           d.w_um = static_cast<double>(site.w) * um_per_dbu_;
           d.l_um = static_cast<double>(site.l) * um_per_dbu_;
-          d.path = path_of(shapes[k].path);
+          d.path = path_of(paths[k]);
           devs.push_back(std::move(d));
         }
     }

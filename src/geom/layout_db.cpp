@@ -1,10 +1,11 @@
 #include "geom/layout_db.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/checkpoint.hpp"
-#include "util/diag.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace bisram::geom {
 
@@ -25,19 +26,36 @@ TileIndex::TileIndex(const std::vector<Rect>& rects, Coord tile)
   }
   cols_ = static_cast<int>((bounds_.width()) / tile_ + 1);
   rows_ = static_cast<int>((bounds_.height()) / tile_ + 1);
-  buckets_.resize(static_cast<std::size_t>(cols_) *
-                  static_cast<std::size_t>(rows_));
-  for (std::uint32_t i = 0; i < count_; ++i) {
+  const auto cols = static_cast<std::size_t>(cols_);
+  start_.assign(cols * static_cast<std::size_t>(rows_) + 1, 0);
+  // Calls visit(t) for every tile t rect i touches.
+  const auto for_tiles = [&](std::uint32_t i, auto&& visit) {
     const Rect& r = rects[i];
     const int x0 = tx_of(r.lo.x), x1 = tx_of(r.hi.x);
     const int y0 = ty_of(r.lo.y), y1 = ty_of(r.hi.y);
-    for (int ty = y0; ty <= y1; ++ty)
+    for (int ty = y0; ty <= y1; ++ty) {
+      const std::size_t row = static_cast<std::size_t>(ty) * cols;
       for (int tx = x0; tx <= x1; ++tx)
-        buckets_[static_cast<std::size_t>(ty) *
-                     static_cast<std::size_t>(cols_) +
-                 static_cast<std::size_t>(tx)]
-            .push_back(i);
+        visit(row + static_cast<std::size_t>(tx));
+    }
+  };
+  // Count into start_[t + 1], prefix-sum so start_[t] is tile t's first
+  // slot, fill in id order advancing start_[t] to tile t's end (= tile
+  // t + 1's first slot), then shift back by one tile.
+  for (std::uint32_t i = 0; i < count_; ++i)
+    for_tiles(i, [&](std::size_t t) { ++start_[t + 1]; });
+  std::uint64_t total = 0;
+  for (std::uint32_t& s : start_) {
+    total += s;
+    ensure(total <= std::numeric_limits<std::uint32_t>::max(),
+           "TileIndex: more than 2^32 bucket entries");
+    s = static_cast<std::uint32_t>(total);
   }
+  ids_.resize(static_cast<std::size_t>(total));
+  for (std::uint32_t i = 0; i < count_; ++i)
+    for_tiles(i, [&](std::size_t t) { ids_[start_[t]++] = i; });
+  std::copy_backward(start_.begin(), start_.end() - 1, start_.end());
+  start_[0] = 0;
 }
 
 int TileIndex::tx_of(Coord x) const {
@@ -50,13 +68,13 @@ int TileIndex::ty_of(Coord y) const {
   return static_cast<int>((c - bounds_.lo.y) / tile_);
 }
 
-const std::vector<std::uint32_t>& TileIndex::bucket(int tx, int ty) const {
-  static const std::vector<std::uint32_t> kEmpty;
+std::span<const std::uint32_t> TileIndex::bucket(int tx, int ty) const {
   if (count_ == 0 || tx < 0 || ty < 0 || tx >= cols_ || ty >= rows_)
-    return kEmpty;
-  return buckets_[static_cast<std::size_t>(ty) *
-                      static_cast<std::size_t>(cols_) +
-                  static_cast<std::size_t>(tx)];
+    return {};
+  const std::size_t t = static_cast<std::size_t>(ty) *
+                            static_cast<std::size_t>(cols_) +
+                        static_cast<std::size_t>(tx);
+  return {ids_.data() + start_[t], ids_.data() + start_[t + 1]};
 }
 
 void TileIndex::for_each_in(
@@ -92,10 +110,37 @@ std::vector<std::uint32_t> TileIndex::ids_in(const Rect& window) const {
 
 namespace {
 
-[[noreturn]] void flatten_fail(const std::string& where, std::string code,
-                               std::string message) {
-  throw DiagError({{Severity::Error, std::move(code), std::move(message),
-                    where, 0, 0}});
+/// Flattened size of one definition: shapes per layer and instances
+/// below it.
+struct FlatCounts {
+  std::array<std::size_t, kLayerCount> shapes{};
+  std::size_t instances = 0;
+};
+
+std::size_t add_sat(std::size_t a, std::size_t b) {
+  return a > std::numeric_limits<std::size_t>::max() - b
+             ? std::numeric_limits<std::size_t>::max()
+             : a + b;
+}
+
+/// Counts `top`'s flattened shapes and instances, refusing too-deep
+/// hierarchies (the fold's own guard) and, as soon as any definition
+/// reaches the instance cap, too-large ones.
+FlatCounts count_flat(const Cell& top) {
+  return DefinitionFold<FlatCounts>(
+      [](const Cell& c, const std::vector<const FlatCounts*>& sub) {
+        FlatCounts n;
+        for (const Shape& s : c.shapes())
+          ++n.shapes[static_cast<std::size_t>(s.layer)];
+        for (const FlatCounts* k : sub) {
+          n.instances = add_sat(n.instances, add_sat(k->instances, 1));
+          for (std::size_t l = 0; l < n.shapes.size(); ++l)
+            n.shapes[l] = add_sat(n.shapes[l], k->shapes[l]);
+        }
+        if (n.instances >= kMaxFlattenInstances)
+          detail::refuse_too_many_instances(c);
+        return n;
+      })(top);
 }
 
 }  // namespace
@@ -104,46 +149,46 @@ LayoutDB::LayoutDB(const Cell& top, Coord tile_size)
     : top_name_(top.name()),
       ports_(top.ports()),
       tile_(std::max<Coord>(tile_size, 1)) {
+  const FlatCounts n = count_flat(top);
+  for (std::size_t l = 0; l < kLayerCount; ++l) {
+    rects_[l].reserve(n.shapes[l]);
+    paths_[l].reserve(n.shapes[l]);
+  }
+  path_parent_.reserve(n.instances + 1);
+  path_name_.reserve(n.instances + 1);
+  path_local_.reserve(n.instances + 1);
   path_parent_.push_back(0);
   path_name_.emplace_back();  // node 0: the top cell, empty path
   path_local_.emplace_back();
-  flatten_cell(top, Transform{}, 0, 0);
-  for (int l = 0; l < kLayerCount; ++l) reindex_layer(static_cast<std::size_t>(l));
+  flatten_cell(top, Transform{}, 0);
+  const std::int64_t chunk = shape_count() < kInlineShapes ? kLayerCount : 1;
+  parallel_for(kLayerCount, chunk, [&](std::int64_t l) {
+    reindex_layer(static_cast<std::size_t>(l));
+  });
   rebuild_bbox();
 }
 
 void LayoutDB::flatten_cell(const Cell& cell, const Transform& t,
-                            std::uint32_t path, int depth) {
-  if (depth > kMaxFlattenDepth)
-    flatten_fail(top_name_, "layout-flatten-too-deep",
-                 "hierarchy nested deeper than " +
-                     std::to_string(kMaxFlattenDepth) +
-                     " levels (instance cycle?) at cell '" + cell.name() +
-                     "'");
+                            std::uint32_t path) {
   // Same visit order as Cell::flatten(): own shapes first, then each
   // instance depth-first — the order every consumer's output depends on.
-  for (const auto& s : cell.shapes())
-    shapes_[static_cast<std::size_t>(s.layer)].push_back(
-        {t.apply(s.rect), path});
+  // count_flat already refused the hierarchies this could not finish.
+  for (const auto& s : cell.shapes()) {
+    const auto l = static_cast<std::size_t>(s.layer);
+    rects_[l].push_back(t.apply(s.rect));
+    paths_[l].push_back(path);
+  }
   for (const auto& inst : cell.instances()) {
-    if (path_parent_.size() >= kMaxFlattenInstances)
-      flatten_fail(top_name_, "layout-flatten-too-many-instances",
-                   "flatten exceeds " + std::to_string(kMaxFlattenInstances) +
-                       " instances at cell '" + cell.name() + "'");
     const auto node = static_cast<std::uint32_t>(path_parent_.size());
     path_parent_.push_back(path);
     path_name_.push_back(inst.name);
     path_local_.push_back(inst.transform);
-    flatten_cell(*inst.cell, t.compose(inst.transform), node, depth + 1);
+    flatten_cell(*inst.cell, t.compose(inst.transform), node);
   }
 }
 
 void LayoutDB::reindex_layer(std::size_t l) {
-  auto& rv = rects_[l];
-  rv.clear();
-  rv.reserve(shapes_[l].size());
-  for (const DbShape& s : shapes_[l]) rv.push_back(s.rect);
-  index_[l] = TileIndex(rv, tile_);
+  index_[l] = TileIndex(rects_[l], tile_);
 }
 
 void LayoutDB::rebuild_bbox() {
@@ -156,7 +201,7 @@ void LayoutDB::rebuild_bbox() {
 
 std::size_t LayoutDB::shape_count() const {
   std::size_t n = 0;
-  for (const auto& v : shapes_) n += v.size();
+  for (const auto& v : rects_) n += v.size();
   return n;
 }
 
@@ -236,12 +281,13 @@ std::uint64_t LayoutDB::content_hash() const {
     fp.mix_i64(path_local_[i].offset().x).mix_i64(path_local_[i].offset().y);
   }
   for (int l = 0; l < kLayerCount; ++l) {
-    const auto& sv = shapes_[static_cast<std::size_t>(l)];
-    fp.mix(sv.size());
-    for (const DbShape& s : sv) {
-      fp.mix_i64(s.rect.lo.x).mix_i64(s.rect.lo.y);
-      fp.mix_i64(s.rect.hi.x).mix_i64(s.rect.hi.y);
-      fp.mix(s.path);
+    const auto& rv = rects_[static_cast<std::size_t>(l)];
+    const auto& pv = paths_[static_cast<std::size_t>(l)];
+    fp.mix(rv.size());
+    for (std::size_t i = 0; i < rv.size(); ++i) {
+      fp.mix_i64(rv[i].lo.x).mix_i64(rv[i].lo.y);
+      fp.mix_i64(rv[i].hi.x).mix_i64(rv[i].hi.y);
+      fp.mix(pv[i]);
     }
   }
   return fp.value();

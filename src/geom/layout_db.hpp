@@ -22,6 +22,17 @@
 // engine and bisram_lint. A changed hierarchy is flattened afresh: the
 // generator rebuilds a macro from its spec, never edits one in place.
 //
+// Storage. Each layer is a structure of arrays: one vector of absolute
+// rects and a parallel vector of path-node ids, each shape stored once.
+// A memoized DefinitionFold counts every layer's shapes and the
+// instances before the flatten, so the depth-first walk writes straight
+// into vectors reserved to their final size. Each layer's TileIndex is
+// a CSR table (a count pass, a prefix sum, then a fill in id order into
+// one id array), built for all layers side by side on the campaign
+// pool. A database below kInlineShapes builds its indexes inline on the
+// calling thread: leaf-cell extraction runs thousands of these tiny
+// builds, and a pool hand-off would cost more than the work.
+//
 // Contracts:
 //   * Shape order. Per layer, shapes are stored in the exact order the
 //     depth-first Cell::flatten() visit produces them — the same order
@@ -46,16 +57,20 @@
 //     instance, not per shape — and materialized only on demand, so a
 //     DRC/ERC violation or an extracted device can name the instance
 //     that produced it without the database paying a per-shape string.
-//   * Bounded flatten. The flatten recursion refuses self-referential
-//     or pathologically deep hierarchies (kMaxFlattenDepth) and runaway
+//   * Bounded flatten. The counting fold refuses self-referential or
+//     pathologically deep hierarchies (kMaxFlattenDepth) and runaway
 //     instance counts (kMaxFlattenInstances) with stable DiagError
-//     codes instead of a stack overflow (same bounded-recursion policy
-//     as the JSON parser's depth cap).
+//     codes before anything is allocated, so a runaway hierarchy is
+//     never a stack overflow or an out-of-memory reserve (same
+//     bounded-recursion policy as the JSON parser's depth cap).
+//   * Thread invariance. The stored shapes, the buckets and
+//     content_hash() are the same at any pool width.
 
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,8 +84,9 @@ class DiagEngine;
 
 namespace bisram::geom {
 
-/// Generic tile-bucketed index over a rectangle set. LayoutDB holds one
-/// per layer; extraction reuses it for its split diffusion pieces.
+/// Tile-bucketed index over a rectangle set, stored as CSR: the ids of
+/// tile t are ids_[start_[t], start_[t + 1]). LayoutDB holds one per
+/// layer.
 class TileIndex {
  public:
   TileIndex() = default;
@@ -87,9 +103,9 @@ class TileIndex {
   int tile_cols() const { return cols_; }
   int tile_rows() const { return rows_; }
 
-  /// Shape ids bucketed into tile (tx, ty), in insertion (= id) order,
-  /// each id possibly present in several tiles.
-  const std::vector<std::uint32_t>& bucket(int tx, int ty) const;
+  /// Shape ids bucketed into tile (tx, ty), in increasing id order,
+  /// each id possibly present in several tiles. Empty outside the grid.
+  std::span<const std::uint32_t> bucket(int tx, int ty) const;
 
   /// Calls fn(id) for every rect intersecting `window` (edge-touching
   /// counts, as Rect::intersects), in strictly increasing id order,
@@ -110,14 +126,10 @@ class TileIndex {
   Rect bounds_{};
   int cols_ = 0;
   int rows_ = 0;
-  std::vector<std::vector<std::uint32_t>> buckets_;  // row-major [ty*cols+tx]
-};
-
-/// One flattened shape: its absolute rect plus the id of the instance
-/// path that produced it.
-struct DbShape {
-  Rect rect;
-  std::uint32_t path = 0;  ///< LayoutDB path-node id (0 = the top cell)
+  // Row-major tiles t = ty * cols + tx; start_ has one entry per tile
+  // plus the end.
+  std::vector<std::uint32_t> start_;
+  std::vector<std::uint32_t> ids_;
 };
 
 class LayoutDB {
@@ -128,6 +140,10 @@ class LayoutDB {
   /// drc::tile_size_for(tech) for signoff — or kDefaultTile for
   /// geometry-only queries.
   explicit LayoutDB(const Cell& top, Coord tile_size = kDefaultTile);
+
+  /// Databases with fewer shapes than this index their layers inline on
+  /// the calling thread instead of on the campaign pool.
+  static constexpr std::size_t kInlineShapes = std::size_t{1} << 16;
 
   // The per-layer TileIndex holds a pointer into this object's rect
   // vectors, so a copied or moved database would index its donor's
@@ -140,10 +156,11 @@ class LayoutDB {
   /// geometry-only users need not consult a Tech.
   static constexpr Coord kDefaultTile = 160;
 
-  /// Flatten guards shared with Cell::flatten (see cell.hpp): deeper or
-  /// larger hierarchies abort with "layout-flatten-too-deep" /
-  /// "layout-flatten-too-many-instances" DiagErrors instead of
-  /// overflowing the stack.
+  /// Flatten guards shared with Cell::flatten (see cell.hpp): deeper
+  /// hierarchies, and ones with kMaxFlattenInstances instances or more,
+  /// abort with "layout-flatten-too-deep" /
+  /// "layout-flatten-too-many-instances" DiagErrors before anything is
+  /// allocated.
   static constexpr int kMaxFlattenDepth = geom::kMaxFlattenDepth;
   static constexpr std::size_t kMaxFlattenInstances =
       geom::kMaxFlattenInstances;
@@ -155,15 +172,15 @@ class LayoutDB {
   const std::vector<Port>& ports() const { return ports_; }
 
   // --- shapes ---------------------------------------------------------------
-  /// Flattened shapes of `layer` in depth-first flatten order. The rect
-  /// at index i is rects(layer)[i]; the two vectors are parallel.
-  const std::vector<DbShape>& shapes(Layer layer) const {
-    return shapes_[static_cast<std::size_t>(layer)];
-  }
-  /// Just the rects of `layer` (parallel to shapes(layer)); this is the
-  /// exact vector Cell::flatten_by_layer() used to produce.
+  /// Absolute rects of `layer` in depth-first flatten order; this is the
+  /// exact vector Cell::flatten_by_layer() produces.
   const std::vector<Rect>& rects(Layer layer) const {
     return rects_[static_cast<std::size_t>(layer)];
+  }
+  /// Path-node id of each shape of `layer` (parallel to rects(layer);
+  /// 0 = the top cell).
+  const std::vector<std::uint32_t>& paths(Layer layer) const {
+    return paths_[static_cast<std::size_t>(layer)];
   }
   const TileIndex& index(Layer layer) const {
     return index_[static_cast<std::size_t>(layer)];
@@ -208,7 +225,7 @@ class LayoutDB {
   std::string path_name(std::uint32_t id) const;
   /// Convenience: the path of shape `shape_id` on `layer`.
   std::string shape_path(Layer layer, std::uint32_t shape_id) const {
-    return path_name(shapes(layer)[shape_id].path);
+    return path_name(paths(layer)[shape_id]);
   }
   /// Number of path nodes (top + every flattened instance).
   std::size_t path_count() const { return path_parent_.size(); }
@@ -236,9 +253,8 @@ class LayoutDB {
   LayoutDB() = default;  // snapshot loader fills the fields directly
   friend class SnapshotCodec;
 
-  void flatten_cell(const Cell& cell, const Transform& t, std::uint32_t path,
-                    int depth);
-  /// Rebuilds rects_[l] + index_[l] from shapes_[l].
+  void flatten_cell(const Cell& cell, const Transform& t, std::uint32_t path);
+  /// Rebuilds index_[l] from rects_[l].
   void reindex_layer(std::size_t l);
   void rebuild_bbox();
 
@@ -246,8 +262,8 @@ class LayoutDB {
   std::vector<Port> ports_;
   Coord tile_ = kDefaultTile;
   Rect bbox_{};
-  std::array<std::vector<DbShape>, kLayerCount> shapes_;
   std::array<std::vector<Rect>, kLayerCount> rects_;
+  std::array<std::vector<std::uint32_t>, kLayerCount> paths_;
   std::array<TileIndex, kLayerCount> index_;
   // Parent-pointer path tree in preorder; node 0 is the top cell. Names
   // and local placements are stored by value (one node per flattened

@@ -203,30 +203,33 @@ class SnapshotCodec {
       put_zigzag(p, db.path_local_[i].offset().y);
     }
     for (int l = 0; l < kLayerCount; ++l) {
-      const auto& sv = db.shapes_[static_cast<std::size_t>(l)];
-      put_varint(p, sv.size());
+      const auto& rv = db.rects_[static_cast<std::size_t>(l)];
+      const auto& pv = db.paths_[static_cast<std::size_t>(l)];
+      put_varint(p, rv.size());
       Point prev{};
       std::uint32_t prev_path = 0;
-      for (const DbShape& s : sv) {
-        put_zigzag(p, s.rect.lo.x - prev.x);
-        put_zigzag(p, s.rect.lo.y - prev.y);
-        put_zigzag(p, s.rect.width());
-        put_zigzag(p, s.rect.height());
-        put_varint(p, s.path - prev_path);  // non-decreasing in flatten order
-        prev = s.rect.lo;
-        prev_path = s.path;
+      for (std::size_t i = 0; i < rv.size(); ++i) {
+        put_zigzag(p, rv[i].lo.x - prev.x);
+        put_zigzag(p, rv[i].lo.y - prev.y);
+        put_zigzag(p, rv[i].width());
+        put_zigzag(p, rv[i].height());
+        put_varint(p, pv[i] - prev_path);  // non-decreasing in flatten order
+        prev = rv[i].lo;
+        prev_path = pv[i];
       }
     }
     return p;
   }
 
-  /// Decodes one layer's `count` shapes into `sv`.
+  /// Decodes one layer's `count` shapes into `rv` and `pv`.
   static bool decode_layer(Decoder& d, Layer layer, std::uint64_t count,
-                           std::uint64_t nnodes, std::vector<DbShape>& sv) {
-    sv.resize(static_cast<std::size_t>(count));
+                           std::uint64_t nnodes, std::vector<Rect>& rv,
+                           std::vector<std::uint32_t>& pv) {
+    rv.resize(static_cast<std::size_t>(count));
+    pv.resize(static_cast<std::size_t>(count));
     Point prev{};
     std::uint64_t prev_path = 0;
-    for (DbShape& s : sv) {
+    for (std::size_t i = 0; i < rv.size(); ++i) {
       std::int64_t dx = 0, dy = 0, w = 0, h = 0;
       std::uint64_t dpath = 0;
       if (!d.z(&dx) || !d.z(&dy) || !d.z(&w) || !d.z(&h) || !d.u(&dpath))
@@ -244,8 +247,8 @@ class SnapshotCodec {
                       strfmt("%s shape path id %llu out of range",
                              std::string(layer_name(layer)).c_str(),
                              static_cast<unsigned long long>(prev_path)));
-      s.rect = Rect{prev, {prev.x + w, prev.y + h}};
-      s.path = static_cast<std::uint32_t>(prev_path);
+      rv[i] = Rect{prev, {prev.x + w, prev.y + h}};
+      pv[i] = static_cast<std::uint32_t>(prev_path);
     }
     return true;
   }
@@ -353,7 +356,7 @@ class SnapshotCodec {
       // exactly its shapes' varints.
       Decoder ld(doc, at[li], end, layer_diag[li]);
       ok[li] = decode_layer(ld, static_cast<Layer>(l), nshapes[li], nnodes,
-                            db->shapes_[li]);
+                            db->rects_[li], db->paths_[li]);
     });
     for (std::size_t l = 0; l < kLayerCount; ++l)
       if (!ok[l]) {

@@ -104,16 +104,18 @@ inline extract::Extracted extract_reference(const geom::LayoutDB& db,
   const auto& polys = db.rects(Layer::Poly);
   const auto& poly_index = db.index(Layer::Poly);
   for (Layer dl : {Layer::NDiff, Layer::PDiff}) {
-    const auto& diff_shapes = db.shapes(dl);
-    for (const geom::DbShape& ds : diff_shapes) {
-      const Rect& diff = ds.rect;
+    const auto& diff_rects = db.rects(dl);
+    const auto& diff_paths = db.paths(dl);
+    for (std::size_t k = 0; k < diff_rects.size(); ++k) {
+      const Rect& diff = diff_rects[k];
+      const std::uint32_t path = diff_paths[k];
       // Gates crossing this diffusion, sorted along the stripe axis.
       std::vector<Rect> gates;
       poly_index.for_each_in(diff, [&](std::uint32_t pid) {
         if (crosses(polys[pid], diff)) gates.push_back(polys[pid]);
       });
       if (gates.empty()) {
-        pieces.push_back({dl, diff, ds.path});
+        pieces.push_back({dl, diff, path});
         continue;
       }
       const bool split_x = vertical(gates[0], diff);
@@ -131,14 +133,14 @@ inline extract::Extracted extract_reference(const geom::LayoutDB& db,
         const Rect seg = split_x ? Rect::ltrb(pos, diff.lo.y, at, diff.hi.y)
                                  : Rect::ltrb(diff.lo.x, pos, diff.hi.x, at);
         segment_ids.push_back(pieces.size());
-        pieces.push_back({dl, seg, ds.path});
+        pieces.push_back({dl, seg, path});
         pos = std::clamp(split_x ? g.hi.x : g.hi.y, lo_end, hi_end);
       }
       const Rect last = split_x
                             ? Rect::ltrb(pos, diff.lo.y, diff.hi.x, diff.hi.y)
                             : Rect::ltrb(diff.lo.x, pos, diff.hi.x, diff.hi.y);
       segment_ids.push_back(pieces.size());
-      pieces.push_back({dl, last, ds.path});
+      pieces.push_back({dl, last, path});
 
       for (std::size_t g = 0; g < gates.size(); ++g) {
         Site site;
@@ -148,7 +150,7 @@ inline extract::Extracted extract_reference(const geom::LayoutDB& db,
         site.channel = gates[g].intersection(diff);
         site.left = segment_ids[g];
         site.right = segment_ids[g + 1];
-        site.path = ds.path;
+        site.path = path;
         sites.push_back(site);
       }
     }
@@ -157,8 +159,8 @@ inline extract::Extracted extract_reference(const geom::LayoutDB& db,
   // --- 2. other conducting layers as-is ------------------------------------
   for (Layer l : {Layer::Poly, Layer::Metal1, Layer::Metal2, Layer::Metal3,
                   Layer::Contact, Layer::Via1, Layer::Via2})
-    for (const geom::DbShape& s : db.shapes(l))
-      pieces.push_back({l, s.rect, s.path});
+    for (std::size_t k = 0; k < db.rects(l).size(); ++k)
+      pieces.push_back({l, db.rects(l)[k], db.paths(l)[k]});
 
   // --- 3. connectivity ------------------------------------------------------
   // One tile index over every piece; each piece unites with its

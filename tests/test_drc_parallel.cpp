@@ -221,10 +221,9 @@ class ShapeIds {
  public:
   explicit ShapeIds(const geom::LayoutDB& db) {
     for (Layer l : geom::all_layers()) {
-      const auto& shapes = db.shapes(l);
-      for (std::uint32_t i = 0; i < shapes.size(); ++i)
-        ids_.emplace(key(l, shapes[i].rect, db.path_name(shapes[i].path)),
-                     i);
+      const auto& rects = db.rects(l);
+      for (std::uint32_t i = 0; i < rects.size(); ++i)
+        ids_.emplace(key(l, rects[i], db.shape_path(l, i)), i);
     }
   }
 

@@ -1,14 +1,17 @@
 // Tests for the shared spatial layout database (geom/layout_db.hpp):
 // the TileIndex bucketing/query contracts (id order, dedup), the
-// flatten-order and provenance guarantees of LayoutDB, and the derived
+// flatten-order and provenance guarantees of LayoutDB, the flatten
+// refusals, thread-count invariance of the build, and the derived
 // geometry queries (areas, bbox, transistor census).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "cells/leaf_cells.hpp"
 #include "geom/layout_db.hpp"
+#include "support/scoped_threads.hpp"
 #include "tech/tech.hpp"
 #include "util/diag.hpp"
 
@@ -157,7 +160,7 @@ TEST(LayoutDB, EmptyLayerQueriesAreEmpty) {
   auto c = lib.create("one_layer");
   c->add_shape(Layer::Metal1, Rect::ltrb(0, 0, 10, 10));
   const LayoutDB db(*c);
-  EXPECT_TRUE(db.shapes(Layer::Metal3).empty());
+  EXPECT_TRUE(db.rects(Layer::Metal3).empty());
   EXPECT_TRUE(db.index(Layer::Metal3).empty());
   EXPECT_TRUE(db.index(Layer::Metal3).ids_in(Rect::ltrb(0, 0, 100, 100))
                   .empty());
@@ -207,6 +210,45 @@ TEST(LayoutDB, FlattenRefusesSelfReferentialHierarchies) {
   }
 }
 
+/// A binary tree of `levels` doubling levels over one shape: 2^levels
+/// leaves, cheap to build and to count, and (from 26 levels on) past
+/// the instance cap to flatten.
+CellPtr doubling_tree(Library& lib, int levels) {
+  auto cur = lib.create("twice0");
+  cur->add_shape(Layer::Metal1, Rect::ltrb(0, 0, 2, 2));
+  for (int i = 1; i <= levels; ++i) {
+    auto next = lib.create("twice" + std::to_string(i));
+    next->add_instance("l", cur, Transform{});
+    next->add_instance("r", cur, Transform::translate(Coord{2} << (i - 1), 0));
+    cur = next;
+  }
+  return cur;
+}
+
+TEST(LayoutDB, FlattenRefusesRunawayInstanceCountsBeforeAllocating) {
+  // 27 levels hold 2^28 - 2 instances, past kMaxFlattenInstances; 64
+  // levels (the depth cap itself) hold more than size_t can count. Both
+  // are refused by the counting fold, before the flatten reserves or
+  // walks anything.
+  for (int levels : {27, kMaxFlattenDepth}) {
+    Library lib;
+    const CellPtr top = doubling_tree(lib, levels);
+    try {
+      const LayoutDB db(*top);
+      FAIL() << "expected DiagError at " << levels << " levels";
+    } catch (const DiagError& e) {
+      ASSERT_FALSE(e.diagnostics().empty());
+      EXPECT_EQ(e.diagnostics()[0].code, "layout-flatten-too-many-instances")
+          << levels << " levels";
+    }
+  }
+  // A shallow tree of the same shape flattens.
+  Library lib;
+  const LayoutDB db(*doubling_tree(lib, 10));
+  EXPECT_EQ(db.shape_count(), 1024u);
+  EXPECT_EQ(db.path_count(), 2047u);
+}
+
 /// A two-level hierarchy with shapes at every level, for the flatten
 /// and provenance tests.
 struct Hier {
@@ -248,11 +290,11 @@ TEST(LayoutDB, ProvenanceNamesTheProducingInstance) {
   // Top-owned shapes carry the empty path.
   EXPECT_EQ(db.shape_path(Layer::Metal2, 0), "");
   // The child's own metal1, once per instance, in flatten order.
-  ASSERT_EQ(db.shapes(Layer::Metal1).size(), 2u);
+  ASSERT_EQ(db.paths(Layer::Metal1).size(), 2u);
   EXPECT_EQ(db.shape_path(Layer::Metal1, 0), "u0");
   EXPECT_EQ(db.shape_path(Layer::Metal1, 1), "u1");
   // The grandchild poly reports the full two-segment path.
-  ASSERT_EQ(db.shapes(Layer::Poly).size(), 4u);
+  ASSERT_EQ(db.paths(Layer::Poly).size(), 4u);
   EXPECT_EQ(db.shape_path(Layer::Poly, 0), "u0/g0");
   EXPECT_EQ(db.shape_path(Layer::Poly, 1), "u0/g1");
   EXPECT_EQ(db.shape_path(Layer::Poly, 2), "u1/g0");
@@ -328,6 +370,82 @@ TEST(LayoutDB, QueriesAreTileSizeInvariant) {
                                           : coarse.index(layer).ids_in(w));
   }
   EXPECT_EQ(fine.transistor_census(), coarse.transistor_census());
+}
+
+TEST(LayoutDB, ContentHashIsPinned) {
+  // The hash keys snapshot caches on disk: a change of storage must not
+  // change it. Pinned value of this fixture since the hash was added.
+  const Hier h;
+  EXPECT_EQ(LayoutDB(*h.top).content_hash(), 0xd74f05f1ba79c371ULL);
+  EXPECT_EQ(LayoutDB(*h.top, 8).content_hash(), 0xfcbb845a3f4b5dd2ULL);
+}
+
+/// `rows` x `cols` 6T bit cells, every other row mirrored: a flat
+/// array big enough to put the database on either side of the inline
+/// threshold.
+CellPtr bit_array(Library& lib, int rows, int cols) {
+  const tech::Tech& t = tech::cda_07();
+  const CellPtr bit = cells::sram_cell_6t(lib, t);
+  const Rect b = bit->bbox();
+  auto row = lib.create("row" + std::to_string(cols));
+  for (int c = 0; c < cols; ++c)
+    row->add_instance("b" + std::to_string(c), bit,
+                      Transform::translate(c * b.width(), 0));
+  auto top = lib.create("array" + std::to_string(rows));
+  for (int r = 0; r < rows; ++r)
+    top->add_instance("r" + std::to_string(r), row,
+                      r % 2 ? Transform(Orient::MX, {0, (r + 1) * b.height()})
+                            : Transform::translate(0, r * b.height()));
+  return top;
+}
+
+/// Everything a LayoutDB build produces that could depend on the pool:
+/// every layer's rects, paths and buckets, and the content hash.
+struct Built {
+  std::uint64_t hash = 0;
+  std::vector<std::vector<Rect>> rects;
+  std::vector<std::vector<std::uint32_t>> paths;
+  std::vector<std::vector<std::uint32_t>> buckets;
+  std::size_t shapes = 0;
+
+  explicit Built(const LayoutDB& db)
+      : hash(db.content_hash()), shapes(db.shape_count()) {
+    for (Layer l : all_layers()) {
+      rects.push_back(db.rects(l));
+      paths.push_back(db.paths(l));
+      const TileIndex& ix = db.index(l);
+      for (int ty = 0; ty < ix.tile_rows(); ++ty)
+        for (int tx = 0; tx < ix.tile_cols(); ++tx) {
+          const auto b = ix.bucket(tx, ty);
+          buckets.emplace_back(b.begin(), b.end());
+        }
+    }
+  }
+  bool operator==(const Built&) const = default;
+};
+
+TEST(LayoutDB, BuildIsThreadCountInvariant) {
+  Library lib;
+  const CellPtr small = bit_array(lib, 4, 4);
+  const CellPtr large = bit_array(lib, 64, 64);
+  ASSERT_LT(LayoutDB(*small).shape_count(), LayoutDB::kInlineShapes);
+  ASSERT_GT(LayoutDB(*large).shape_count(), LayoutDB::kInlineShapes);
+  for (const CellPtr& cell : {small, large}) {
+    std::vector<Built> runs;
+    for (int n : {1, 2, 8}) {
+      const test_support::ScopedThreads pin(n);
+      runs.emplace_back(LayoutDB(*cell));
+    }
+    // Buckets hold ids in increasing order; a multi-tile layer exists.
+    std::size_t entries = 0;
+    for (const auto& b : runs[0].buckets) {
+      EXPECT_TRUE(std::is_sorted(b.begin(), b.end()));
+      entries += b.size();
+    }
+    EXPECT_GE(entries, runs[0].shapes) << cell->name();
+    EXPECT_TRUE(runs[1] == runs[0]) << cell->name() << " at 2 threads";
+    EXPECT_TRUE(runs[2] == runs[0]) << cell->name() << " at 8 threads";
+  }
 }
 
 }  // namespace

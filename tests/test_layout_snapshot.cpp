@@ -79,13 +79,9 @@ TEST(LayoutSnapshot, RoundTripIsExactAndByteStable) {
   EXPECT_EQ(loaded->tile_size(), db.tile_size());
   EXPECT_EQ(loaded->ports().size(), db.ports().size());
   for (geom::Layer l : geom::all_layers()) {
-    const auto& want = db.shapes(l);
-    const auto& got = loaded->shapes(l);
-    ASSERT_EQ(want.size(), got.size()) << "layer " << static_cast<int>(l);
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      ASSERT_TRUE(want[i].rect == got[i].rect);
-      ASSERT_EQ(want[i].path, got[i].path);
-    }
+    ASSERT_TRUE(db.rects(l) == loaded->rects(l))
+        << "layer " << static_cast<int>(l);
+    ASSERT_EQ(db.paths(l), loaded->paths(l));
   }
   for (std::uint32_t n = 0; n < db.path_count(); ++n)
     ASSERT_EQ(loaded->path_name(n), db.path_name(n));
